@@ -9,7 +9,10 @@
 // behaviour depends only on the memory configuration and branch behaviour
 // only on the predictor, so an Evaluator memoizes those expensive substrate
 // simulations and full design-space sweeps reuse them across the thousands
-// of core configurations that share them.
+// of core configurations that share them. The memory hierarchy is memoized
+// level by level: each TLB and each L1 geometry runs over the trace once,
+// and each hierarchy replays only its L1 miss streams through its L2 and
+// L3, with results bit-identical to a per-access mem.Hierarchy run.
 package cpu
 
 import (

@@ -35,10 +35,11 @@ type Result struct {
 
 // traceMetrics caches configuration-independent trace statistics.
 type traceMetrics struct {
-	n        int
-	mix      map[trace.Class]float64
-	depMean  float64
-	branches uint64
+	n            int
+	mix          map[trace.Class]float64
+	depMean      float64
+	branches     uint64
+	dataAccesses uint64 // loads and stores
 }
 
 // memMetrics caches the outcome of running the trace through one memory
@@ -62,16 +63,35 @@ type branchMetrics struct {
 	branches    uint64
 }
 
+// bpredKey names one predictor pass.
+type bpredKey struct {
+	kind    bpred.Kind
+	entries int
+}
+
 // Evaluator simulates many configurations against one trace, memoizing the
-// expensive substrate passes (memory hierarchy, branch predictor) that are
-// shared between configurations. It is safe for concurrent use.
+// expensive substrate passes that configurations share. The memory
+// hierarchy is simulated level by level (see levels.go): one full-trace
+// pass per TLB and per L1 geometry, then one L2/L3 replay of just the
+// merged L1 miss streams per (L1I, L1D, L2, L3) combination. On Table 1
+// that is 4 TLB and 12 L1 passes plus 144 replays for its 288
+// hierarchies. Each predictor runs once over the branch stream. Every
+// memo entry is keyed by every field that affects it and computed exactly
+// once, however many workers ask for it concurrently. An Evaluator is
+// safe for concurrent use, and nothing is simulated before the first
+// Simulate call.
 type Evaluator struct {
 	tr *trace.Trace
 	tm traceMetrics
 
-	mu    sync.Mutex
-	mems  map[string]*memMetrics
-	preds map[string]*branchMetrics
+	tlbs   memo[tlbKey, uint64]
+	l1s    memo[l1Key, []uint32]
+	levels memo[levelKey, *levelCounts]
+	mems   memo[mem.HierarchyConfig, *memMetrics]
+	preds  memo[bpredKey, *branchMetrics]
+	// spare pools released L2/L3 caches by geometry (mem.CacheConfig →
+	// *sync.Pool) for reuse by later replays.
+	spare sync.Map
 }
 
 // NewEvaluator prepares an evaluator for the trace.
@@ -79,117 +99,44 @@ func NewEvaluator(tr *trace.Trace) (*Evaluator, error) {
 	if tr == nil || tr.Len() == 0 {
 		return nil, errors.New("cpu: empty trace")
 	}
-	e := &Evaluator{
-		tr:    tr,
-		mems:  map[string]*memMetrics{},
-		preds: map[string]*branchMetrics{},
+	if tr.Len() > indexMask+1 {
+		return nil, fmt.Errorf("cpu: trace of %d instructions exceeds the evaluator's limit of %d", tr.Len(), indexMask+1)
 	}
+	e := &Evaluator{tr: tr}
 	e.tm = traceMetrics{
 		n:       tr.Len(),
 		mix:     tr.Mix(),
 		depMean: tr.MeanDepDistance(),
 	}
+	var perClass [trace.Branch + 1]uint64
 	for i := range tr.Instrs {
-		if tr.Instrs[i].Class == trace.Branch {
-			e.tm.branches++
-		}
+		perClass[tr.Instrs[i].Class]++
 	}
+	e.tm.branches = perClass[trace.Branch]
+	e.tm.dataAccesses = perClass[trace.Load] + perClass[trace.Store]
 	return e, nil
-}
-
-// memKey identifies a memory hierarchy configuration.
-func memKey(c mem.HierarchyConfig) string {
-	return fmt.Sprintf("%dx%dx%d|%dx%dx%d|%dx%dx%d|%dx%dx%d|%d/%d|%d|pf=%v",
-		c.L1I.SizeKB, c.L1I.LineBytes, c.L1I.Assoc,
-		c.L1D.SizeKB, c.L1D.LineBytes, c.L1D.Assoc,
-		c.L2.SizeKB, c.L2.LineBytes, c.L2.Assoc,
-		c.L3.SizeKB, c.L3.LineBytes, c.L3.Assoc,
-		c.ITLB.CoverageKB, c.DTLB.CoverageKB, c.MemLatencyCyc,
-		c.NextLinePrefetch)
-}
-
-func predKey(kind bpred.Kind, entries int) string {
-	return fmt.Sprintf("%s/%d", kind, entries)
-}
-
-// memPass runs (or reuses) the hierarchy simulation for a config.
-func (e *Evaluator) memPass(cfg mem.HierarchyConfig) (*memMetrics, error) {
-	key := memKey(cfg)
-	e.mu.Lock()
-	if m, ok := e.mems[key]; ok {
-		e.mu.Unlock()
-		return m, nil
-	}
-	e.mu.Unlock()
-
-	h, err := mem.NewHierarchy(cfg)
-	if err != nil {
-		return nil, err
-	}
-	m := &memMetrics{}
-	l1iHit := cfg.L1I.LatencyCycles
-	l1dHit := cfg.L1D.LatencyCycles
-	for i := range e.tr.Instrs {
-		ins := &e.tr.Instrs[i]
-		tlb, cache, _ := h.AccessInstParts(ins.PC)
-		m.tlbCycles += float64(tlb)
-		m.instCacheExtra += float64(cache - l1iHit)
-		switch ins.Class {
-		case trace.Load:
-			tlb, cache, toMem := h.AccessDataParts(ins.Addr)
-			m.tlbCycles += float64(tlb)
-			if toMem {
-				m.loadMemExtra += float64(cache - l1dHit)
-			} else {
-				m.loadChipExtra += float64(cache - l1dHit)
-			}
-		case trace.Store:
-			tlb, cache, toMem := h.AccessDataParts(ins.Addr)
-			m.tlbCycles += float64(tlb)
-			if toMem {
-				m.storeMemExtra += float64(cache - l1dHit)
-			} else {
-				m.storeChipExtra += float64(cache - l1dHit)
-			}
-		}
-	}
-	m.stats = h.Stats()
-
-	e.mu.Lock()
-	e.mems[key] = m
-	e.mu.Unlock()
-	return m, nil
 }
 
 // predPass runs (or reuses) one predictor over the trace's branch stream.
 func (e *Evaluator) predPass(kind bpred.Kind, entries int) (*branchMetrics, error) {
-	key := predKey(kind, entries)
-	e.mu.Lock()
-	if b, ok := e.preds[key]; ok {
-		e.mu.Unlock()
+	return e.preds.get(bpredKey{kind, entries}, func() (*branchMetrics, error) {
+		p, err := bpred.New(kind, entries)
+		if err != nil {
+			return nil, err
+		}
+		b := &branchMetrics{}
+		for i := range e.tr.Instrs {
+			ins := &e.tr.Instrs[i]
+			if ins.Class != trace.Branch {
+				continue
+			}
+			b.branches++
+			if p.Observe(ins.PC, ins.Taken) {
+				b.mispredicts++
+			}
+		}
 		return b, nil
-	}
-	e.mu.Unlock()
-
-	p, err := bpred.New(kind, entries)
-	if err != nil {
-		return nil, err
-	}
-	b := &branchMetrics{}
-	for i := range e.tr.Instrs {
-		ins := &e.tr.Instrs[i]
-		if ins.Class != trace.Branch {
-			continue
-		}
-		b.branches++
-		if p.Observe(ins.PC, ins.Taken) {
-			b.mispredicts++
-		}
-	}
-	e.mu.Lock()
-	e.preds[key] = b
-	e.mu.Unlock()
-	return b, nil
+	})
 }
 
 // Simulate evaluates one configuration.
@@ -197,7 +144,7 @@ func (e *Evaluator) Simulate(cfg Config) (*Result, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	mm, err := e.memPass(cfg.Mem)
+	mm, err := e.memory(cfg.Mem)
 	if err != nil {
 		return nil, err
 	}

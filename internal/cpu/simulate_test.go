@@ -1,6 +1,7 @@
 package cpu
 
 import (
+	"math"
 	"testing"
 
 	"perfpred/internal/bpred"
@@ -307,5 +308,45 @@ func TestEvaluatorDistinguishesPrefetcherConfigs(t *testing.T) {
 	}
 	if rn.MemStats.Prefetches == 0 {
 		t.Fatal("prefetch stats missing")
+	}
+}
+
+// TestEvaluatorMemoKeyCoversEveryField is a regression test for a memo key
+// that named only cache geometries, TLB coverage and memory latency: after
+// the base config was simulated, a config differing only in a cache
+// latency, a TLB associativity or penalty, or the memory occupancy got the
+// base config's memory metrics back. Each memoized result must equal an
+// uncached simulation bit for bit.
+func TestEvaluatorMemoKeyCoversEveryField(t *testing.T) {
+	tr := genTrace(t, "mcf", 20000)
+	e, err := NewEvaluator(tr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.Simulate(baseConfig()); err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []struct {
+		name   string
+		mutate func(*Config)
+	}{
+		{"L2 latency 12→20", func(c *Config) { c.Mem.L2.LatencyCycles = 20 }},
+		{"DTLB penalty 30→60", func(c *Config) { c.Mem.DTLB.MissPenaltyCycles = 60 }},
+		{"DTLB assoc 4→1", func(c *Config) { c.Mem.DTLB.Assoc = 1 }},
+		{"memory busy 0→50", func(c *Config) { c.Mem.MemLatencyBusy = 50 }},
+	} {
+		cfg := baseConfig()
+		m.mutate(&cfg)
+		got, err := e.Simulate(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := Simulate(cfg, tr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if math.Float64bits(got.Cycles) != math.Float64bits(want.Cycles) || got.MemStats != want.MemStats {
+			t.Errorf("%s: memoized %v cycles, uncached %v", m.name, got.Cycles, want.Cycles)
+		}
 	}
 }

@@ -32,8 +32,10 @@ func (c CacheConfig) Validate() error {
 	if !c.Enabled() {
 		return nil
 	}
-	if c.LineBytes <= 0 || c.LineBytes&(c.LineBytes-1) != 0 {
-		return fmt.Errorf("mem: line size %dB must be a positive power of two", c.LineBytes)
+	// A line of at least two bytes drops at least one address bit from
+	// every tag, which keeps the all-ones invalidTag unreachable.
+	if c.LineBytes < 2 || c.LineBytes&(c.LineBytes-1) != 0 {
+		return fmt.Errorf("mem: line size %dB must be a power of two of at least 2", c.LineBytes)
 	}
 	if c.Assoc <= 0 {
 		return fmt.Errorf("mem: associativity %d must be positive", c.Assoc)
@@ -56,11 +58,18 @@ func (c CacheConfig) Validate() error {
 	return nil
 }
 
+// invalidTag marks an empty way. Validate requires lines of at least two
+// bytes, so a real tag (addr >> lineBits) never has its top bit set.
+const invalidTag = ^uint64(0)
+
 // Cache is a set-associative cache with true-LRU replacement.
 type Cache struct {
-	cfg      CacheConfig
-	sets     [][]uint64 // tags per way, LRU order: index 0 = MRU
-	valid    [][]bool
+	cfg CacheConfig
+	// tags holds every way set-major: set s occupies
+	// tags[s*assoc : (s+1)*assoc] in LRU order, index 0 = MRU. Empty ways
+	// hold invalidTag and always sit behind the valid ones.
+	tags     []uint64
+	assoc    int
 	setMask  uint64
 	lineBits uint
 	accesses uint64
@@ -77,17 +86,13 @@ func NewCache(cfg CacheConfig) (*Cache, error) {
 		return nil, err
 	}
 	lines := cfg.SizeKB * 1024 / cfg.LineBytes
-	nsets := lines / cfg.Assoc
 	c := &Cache{
 		cfg:     cfg,
-		sets:    make([][]uint64, nsets),
-		valid:   make([][]bool, nsets),
-		setMask: uint64(nsets - 1),
+		tags:    make([]uint64, lines),
+		assoc:   cfg.Assoc,
+		setMask: uint64(lines/cfg.Assoc - 1),
 	}
-	for i := range c.sets {
-		c.sets[i] = make([]uint64, cfg.Assoc)
-		c.valid[i] = make([]bool, cfg.Assoc)
-	}
+	c.Reset()
 	for b := cfg.LineBytes; b > 1; b >>= 1 {
 		c.lineBits++
 	}
@@ -101,51 +106,35 @@ func (c *Cache) Config() CacheConfig { return c.cfg }
 // It reports whether the access hit.
 func (c *Cache) Access(addr uint64) bool {
 	c.accesses++
-	tag := addr >> c.lineBits
-	set := tag & c.setMask
-	ways := c.sets[set]
-	valid := c.valid[set]
-	for w := range ways {
-		if valid[w] && ways[w] == tag {
-			// Move to MRU position.
-			copy(ways[1:w+1], ways[:w])
-			copy(valid[1:w+1], valid[:w])
-			ways[0] = tag
-			valid[0] = true
-			return true
-		}
+	if c.touch(addr) {
+		return true
 	}
 	c.misses++
-	// Fill: evict LRU (last way), insert at MRU.
-	copy(ways[1:], ways[:len(ways)-1])
-	copy(valid[1:], valid[:len(valid)-1])
-	ways[0] = tag
-	valid[0] = true
 	return false
 }
 
 // Install fills addr's line without recording an access or miss — the
 // prefetch path, whose traffic must not perturb demand statistics. It
 // reports whether the line was already present.
-func (c *Cache) Install(addr uint64) bool {
+func (c *Cache) Install(addr uint64) bool { return c.touch(addr) }
+
+// touch moves addr's line to the MRU position of its set, filling it over
+// the LRU way if absent, and reports whether it was present.
+func (c *Cache) touch(addr uint64) bool {
 	tag := addr >> c.lineBits
-	set := tag & c.setMask
-	ways := c.sets[set]
-	valid := c.valid[set]
-	for w := range ways {
-		if valid[w] && ways[w] == tag {
-			copy(ways[1:w+1], ways[:w])
-			copy(valid[1:w+1], valid[:w])
-			ways[0] = tag
-			valid[0] = true
-			return true
-		}
+	base := int(tag&c.setMask) * c.assoc
+	ways := c.tags[base : base+c.assoc : base+c.assoc]
+	w := 0
+	for w < len(ways) && ways[w] != tag {
+		w++
 	}
-	copy(ways[1:], ways[:len(ways)-1])
-	copy(valid[1:], valid[:len(valid)-1])
+	hit := w < len(ways)
+	if !hit {
+		w = len(ways) - 1 // evict the LRU way
+	}
+	copy(ways[1:w+1], ways[:w])
 	ways[0] = tag
-	valid[0] = true
-	return false
+	return hit
 }
 
 // Accesses returns the number of lookups performed.
@@ -164,10 +153,8 @@ func (c *Cache) MissRate() float64 {
 
 // Reset clears contents and statistics.
 func (c *Cache) Reset() {
-	for i := range c.valid {
-		for w := range c.valid[i] {
-			c.valid[i][w] = false
-		}
+	for i := range c.tags {
+		c.tags[i] = invalidTag
 	}
 	c.accesses, c.misses = 0, 0
 }

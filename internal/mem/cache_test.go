@@ -186,3 +186,181 @@ func TestCacheInvariantProperty(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// refCache is the slice-of-slices cache the flat tag array replaced: one
+// tag slice and one valid slice per set, both in LRU order. It is kept as
+// the oracle of TestCacheMatchesReference.
+type refCache struct {
+	sets             [][]uint64
+	valid            [][]bool
+	setMask          uint64
+	lineBits         uint
+	accesses, misses uint64
+}
+
+func newRefCache(cfg CacheConfig) *refCache {
+	nsets := cfg.SizeKB * 1024 / cfg.LineBytes / cfg.Assoc
+	c := &refCache{sets: make([][]uint64, nsets), valid: make([][]bool, nsets), setMask: uint64(nsets - 1)}
+	for i := range c.sets {
+		c.sets[i] = make([]uint64, cfg.Assoc)
+		c.valid[i] = make([]bool, cfg.Assoc)
+	}
+	for b := cfg.LineBytes; b > 1; b >>= 1 {
+		c.lineBits++
+	}
+	return c
+}
+
+func (c *refCache) touch(addr uint64) bool {
+	tag := addr >> c.lineBits
+	ways, valid := c.sets[tag&c.setMask], c.valid[tag&c.setMask]
+	for w := range ways {
+		if valid[w] && ways[w] == tag {
+			copy(ways[1:w+1], ways[:w])
+			copy(valid[1:w+1], valid[:w])
+			ways[0], valid[0] = tag, true
+			return true
+		}
+	}
+	copy(ways[1:], ways[:len(ways)-1])
+	copy(valid[1:], valid[:len(valid)-1])
+	ways[0], valid[0] = tag, true
+	return false
+}
+
+func (c *refCache) access(addr uint64) bool {
+	c.accesses++
+	if c.touch(addr) {
+		return true
+	}
+	c.misses++
+	return false
+}
+
+func (c *refCache) reset() {
+	for i := range c.valid {
+		clear(c.valid[i])
+	}
+	c.accesses, c.misses = 0, 0
+}
+
+// TestCacheMatchesReference replays seeded random streams mixing Access,
+// Install and Reset through the flat cache and the reference cache and
+// requires identical hit/miss outcomes and counters at every step.
+func TestCacheMatchesReference(t *testing.T) {
+	geoms := []CacheConfig{
+		{SizeKB: 1, LineBytes: 64, Assoc: 1},    // direct mapped
+		{SizeKB: 1, LineBytes: 64, Assoc: 16},   // fully associative
+		{SizeKB: 2, LineBytes: 32, Assoc: 2},    // 32 sets
+		{SizeKB: 4, LineBytes: 64, Assoc: 4},    // 16 sets
+		{SizeKB: 8, LineBytes: 128, Assoc: 8},   // 8 sets
+		{SizeKB: 1, LineBytes: 2, Assoc: 4},     // smallest legal line
+		{SizeKB: 16, LineBytes: 256, Assoc: 64}, // fully associative, wide
+	}
+	for gi, g := range geoms {
+		g.LatencyCycles = 1
+		c, err := NewCache(g)
+		if err != nil {
+			t.Fatalf("geometry %d: %v", gi, err)
+		}
+		ref := newRefCache(g)
+		r := rand.New(rand.NewSource(int64(gi) + 1))
+		// Addresses over ~4x the capacity, with a hot region so hits
+		// and evictions both occur.
+		span := uint64(4 * g.SizeKB * 1024)
+		for step := 0; step < 20000; step++ {
+			addr := uint64(r.Int63n(int64(span)))
+			if r.Intn(3) == 0 {
+				addr %= span / 8
+			}
+			switch op := r.Intn(100); {
+			case op == 0:
+				c.Reset()
+				ref.reset()
+			case op < 15:
+				if got, want := c.Install(addr), ref.touch(addr); got != want {
+					t.Fatalf("geometry %d step %d: Install(%#x) = %v, reference %v", gi, step, addr, got, want)
+				}
+			default:
+				if got, want := c.Access(addr), ref.access(addr); got != want {
+					t.Fatalf("geometry %d step %d: Access(%#x) = %v, reference %v", gi, step, addr, got, want)
+				}
+			}
+			if c.Accesses() != ref.accesses || c.Misses() != ref.misses {
+				t.Fatalf("geometry %d step %d: counters %d/%d, reference %d/%d",
+					gi, step, c.Misses(), c.Accesses(), ref.misses, ref.accesses)
+			}
+		}
+	}
+}
+
+// TestCacheInclusionAcrossAssociativity checks the LRU inclusion
+// property: at a fixed set count, adding ways never adds misses.
+func TestCacheInclusionAcrossAssociativity(t *testing.T) {
+	const sets, line = 16, 64
+	r := rand.New(rand.NewSource(11))
+	addrs := make([]uint64, 30000)
+	for i := range addrs {
+		addrs[i] = uint64(r.Intn(1 << 17))
+	}
+	prev := uint64(len(addrs) + 1)
+	for assoc := 1; assoc <= 32; assoc *= 2 {
+		c, err := NewCache(CacheConfig{SizeKB: sets * assoc * line / 1024, LineBytes: line, Assoc: assoc, LatencyCycles: 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, a := range addrs {
+			c.Access(a)
+		}
+		if c.Misses() > prev {
+			t.Fatalf("%d-way missed %d times, more than the %d of half the ways", assoc, c.Misses(), prev)
+		}
+		prev = c.Misses()
+	}
+}
+
+func TestCacheAccessAllocatesNothing(t *testing.T) {
+	c, err := NewCache(CacheConfig{SizeKB: 32, LineBytes: 64, Assoc: 4, LatencyCycles: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := uint64(0)
+	allocs := testing.AllocsPerRun(1000, func() {
+		addr += 4160
+		c.Access(addr)
+		c.Install(addr + 64)
+	})
+	if allocs != 0 {
+		t.Fatalf("Access+Install allocated %v times per run, want 0", allocs)
+	}
+}
+
+// TestCacheSentinelUnreachable pins the guard that keeps the empty-way
+// tag out of reach: 1-byte lines are rejected, and the all-ones address
+// misses a cold cache (it would hit an empty way if its tag aliased the
+// sentinel) and then hits like any other line.
+func TestCacheSentinelUnreachable(t *testing.T) {
+	if err := (CacheConfig{SizeKB: 1, LineBytes: 1, Assoc: 1, LatencyCycles: 1}).Validate(); err == nil {
+		t.Fatal("1-byte lines: want error")
+	}
+	for _, g := range []CacheConfig{
+		{SizeKB: 1, LineBytes: 2, Assoc: 1, LatencyCycles: 1},
+		{SizeKB: 1, LineBytes: 2, Assoc: 512, LatencyCycles: 1},
+		{SizeKB: 8192, LineBytes: 256, Assoc: 8, LatencyCycles: 1},
+	} {
+		c, err := NewCache(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		const top = ^uint64(0)
+		if c.Access(top) {
+			t.Fatalf("%+v: all-ones address hit a cold cache", g)
+		}
+		if !c.Access(top) || !c.Install(top-1) {
+			t.Fatalf("%+v: all-ones line not retained", g)
+		}
+		if c.Misses() != 1 {
+			t.Fatalf("%+v: %d misses, want 1", g, c.Misses())
+		}
+	}
+}

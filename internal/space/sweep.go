@@ -10,8 +10,12 @@ import (
 
 // sweepBatch is how many configurations one sweep task simulates; small
 // enough to load-balance across heterogeneous configurations, large enough
-// to amortize scheduling.
-const sweepBatch = 16
+// to amortize scheduling. It is also the length of Enumerate's innermost
+// run of points sharing one (L1I, L1D, L2, L3) combination, so in a full
+// sweep no two tasks need the same L2/L3 replay: with a smaller batch,
+// neighbouring tasks would ask for it together and one worker would wait
+// for the other to compute it.
+const sweepBatch = 32
 
 // Sweep simulates every configuration against the evaluator's trace as a
 // chunked parallel map on the engine pool, using up to opts.Workers

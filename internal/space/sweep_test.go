@@ -131,3 +131,24 @@ func TestWorkloadCalibration(t *testing.T) {
 		t.Errorf("gcc range %.2f should exceed equake %.2f", ranges["gcc"], ranges["equake"])
 	}
 }
+
+// TestSweepBatchSharesOneReplay pins the enumeration property sweepBatch
+// relies on: each batch of a full sweep covers one (L1I, L1D, L2, L3)
+// combination, and the next batch a different one.
+func TestSweepBatchSharesOneReplay(t *testing.T) {
+	lower := func(m MicroConfig) [12]int {
+		return [12]int{m.L1ISizeKB, m.L1ILineB, m.L1IAssoc, m.L1DSizeKB, m.L1DLineB, m.L1DAssoc,
+			m.L2SizeKB, m.L2LineB, m.L2Assoc, m.L3SizeMB, m.L3LineB, m.L3Assoc}
+	}
+	all := Enumerate()
+	for lo := 0; lo < len(all); lo += sweepBatch {
+		for i := lo; i < lo+sweepBatch; i++ {
+			if lower(all[i]) != lower(all[lo]) {
+				t.Fatalf("batch at %d: point %d has other caches than point %d", lo, i, lo)
+			}
+		}
+		if lo > 0 && lower(all[lo]) == lower(all[lo-sweepBatch]) {
+			t.Fatalf("batches at %d and %d share their caches", lo-sweepBatch, lo)
+		}
+	}
+}
