@@ -1,10 +1,10 @@
-// Command benchdiff gates a fresh benchmark run against a committed
-// snapshot. It reads `go test -bench` text output on stdin, compares it
-// to the baseline JSON (as written by cmd/benchjson), and exits 1 on
-// regression:
+// Command benchdiff gates a fresh benchmark run against the committed
+// ledger. It reads `go test -bench` text output on stdin, compares it to
+// the baseline JSON (as written by cmd/benchjson), and exits 1 on
+// regression (`make bench-diff` runs it over the whole ledger):
 //
-//	go test -run xxx -bench 'CachedPredict|UncachedPredict' -benchmem -count=2 ./internal/serve \
-//	    | go run ./cmd/benchdiff -baseline BENCH_8.json
+//	go test -run '^$' -bench . -benchmem -count=2 ./internal/serve ... > bench.out
+//	go run ./cmd/benchdiff -baseline BENCH.json < bench.out
 //
 // Three rules, chosen so the gate is meaningful on noisy shared CI
 // runners without drowning in false alarms:
@@ -19,9 +19,9 @@
 //     tolerance: any increase fails, and a baseline of 0 allocs/op is
 //     an exact pin — the hot path stayed allocation-free.
 //
-// An intended regression is waived by regenerating the baseline
-// (`make bench-serve`) and committing the new snapshot alongside the
-// change that explains it.
+// An intended regression is waived by regenerating the ledger
+// (`make bench`) and committing it alongside the change that explains
+// it.
 package main
 
 import (
@@ -61,8 +61,8 @@ func main() {
 		for _, f := range failures {
 			fmt.Println("  - " + f)
 		}
-		fmt.Println("\nIf this regression is intended, regenerate and commit the baseline" +
-			" (`make bench-serve` for BENCH_8.json) in the same change that explains it.")
+		fmt.Println("\nIf this regression is intended, regenerate and commit the ledger" +
+			" (`make bench`) in the same change that explains it.")
 		os.Exit(1)
 	}
 	fmt.Printf("\nPASS: %d benchmark(s) within tolerance %.1fx of %s\n",

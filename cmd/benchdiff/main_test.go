@@ -101,17 +101,44 @@ BenchmarkBrandNew-8          100	9999 ns/op	 999 B/op	99 allocs/op
 }
 
 // TestCompareAgainstCommittedBaseline loads the real committed
-// BENCH_8.json so schema drift between benchjson and benchdiff cannot
-// land silently.
+// BENCH.json ledger so schema drift between benchjson and benchdiff
+// cannot land silently: the ledger must carry every gated benchmark,
+// pass against itself, and fail when one entry regresses.
 func TestCompareAgainstCommittedBaseline(t *testing.T) {
-	base, err := benchfmt.Load("../../BENCH_8.json")
+	base, err := benchfmt.Load("../../BENCH.json")
 	if err != nil {
-		t.Fatalf("loading committed BENCH_8.json: %v", err)
+		t.Fatalf("loading committed BENCH.json: %v", err)
 	}
-	if len(base.Benchmarks) == 0 {
-		t.Fatal("committed BENCH_8.json has no benchmarks")
+	for _, name := range []string{
+		"CachedPredict", "UncachedPredict", // serving cache
+		"ScoreChunk", "AcquireCommittee", "AcquireDiversity", "AcquireEI", // acquisition
+		"PredictAll", "TreePredictAll", "TrainQuick", "TrainSingle", "TrainDynamic", // model kernels
+		"TrainMultiple", "TrainPrune", "TrainExhaustivePrune",
+	} {
+		if _, ok := base.Benchmarks[name]; !ok {
+			t.Errorf("committed ledger has no %s entry", name)
+		}
 	}
-	if r, ok := base.Benchmarks["CachedPredict"]; !ok || r.AllocsPerOp != 0 {
-		t.Fatalf("committed baseline no longer pins CachedPredict at 0 allocs/op: %+v", base.Benchmarks)
+	for _, name := range []string{"CachedPredict", "ScoreChunk", "PredictAll", "TreePredictAll"} {
+		if r := base.Benchmarks[name]; r.AllocsPerOp != 0 {
+			t.Errorf("committed ledger no longer pins %s at 0 allocs/op: %+v", name, r)
+		}
+	}
+	if _, failures := compare(base, base, 4.0); len(failures) != 0 {
+		t.Fatalf("ledger fails against itself: %v", failures)
+	}
+	// A synthetically regressed entry: 5x slower and one alloc more.
+	fresh := &benchfmt.Snapshot{Benchmarks: map[string]benchfmt.Result{}}
+	for name, r := range base.Benchmarks {
+		fresh.Benchmarks[name] = r
+	}
+	r := fresh.Benchmarks["UncachedPredict"]
+	r.NsPerOp *= 5
+	r.AllocsPerOp++
+	fresh.Benchmarks["UncachedPredict"] = r
+	_, failures := compare(base, fresh, 4.0)
+	if len(failures) != 2 || !strings.HasPrefix(failures[0], "UncachedPredict") ||
+		!strings.HasPrefix(failures[1], "UncachedPredict") {
+		t.Fatalf("want the ns/op and allocs/op failures of UncachedPredict, got %v", failures)
 	}
 }

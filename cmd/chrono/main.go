@@ -19,6 +19,7 @@ import (
 	"time"
 
 	"perfpred"
+	"perfpred/internal/obs"
 	"perfpred/internal/progress"
 )
 
@@ -129,7 +130,7 @@ func main() {
 				ModelSeconds: finished.Sub(start).Seconds(),
 			},
 		}, rec)
-		if err := rep.WriteFile(*report); err != nil {
+		if err := obs.WriteFile(*report, rep); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("report: %s\n", *report)

@@ -27,6 +27,7 @@ import (
 	"time"
 
 	"perfpred"
+	"perfpred/internal/obs"
 	"perfpred/internal/progress"
 )
 
@@ -169,7 +170,7 @@ func main() {
 		} else {
 			rep = perfpred.BuildDSEReport(res, meta, rec)
 		}
-		if err := rep.WriteFile(*report); err != nil {
+		if err := obs.WriteFile(*report, rep); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("report: %s\n", *report)

@@ -212,7 +212,7 @@ func main() {
 			Execution:  &exec,
 			Metrics:    &metrics,
 		}
-		if err := rep.WriteFile(*report); err != nil {
+		if err := obs.WriteFile(*report, rep); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("report: %s\n", *report)

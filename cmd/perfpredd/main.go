@@ -33,6 +33,7 @@ import (
 	"syscall"
 	"time"
 
+	"perfpred/internal/obs"
 	"perfpred/internal/serve"
 )
 
@@ -116,7 +117,7 @@ func run(cfg serve.Config, addr, addrFile, report string, drainTimeout time.Dura
 			// drain the batcher so every admitted request is answered.
 			srv.Close()
 			if report != "" {
-				if werr := srv.Report().WriteFile(report); werr != nil {
+				if werr := obs.WriteFile(report, srv.Report()); werr != nil {
 					log.Printf("write report: %v", werr)
 					if err == nil {
 						err = werr

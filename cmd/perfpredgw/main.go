@@ -43,6 +43,7 @@ import (
 	"time"
 
 	"perfpred/internal/gateway"
+	"perfpred/internal/obs"
 )
 
 func main() {
@@ -125,7 +126,7 @@ func run(cfg gateway.Config, addr, addrFile, report string, drainTimeout time.Du
 		// probe loops and settle the in-flight census before reporting.
 		gw.Close()
 		if report != "" {
-			if werr := gw.Report().WriteFile(report); werr != nil {
+			if werr := obs.WriteFile(report, gw.Report()); werr != nil {
 				log.Printf("write report: %v", werr)
 				if err == nil {
 					err = werr

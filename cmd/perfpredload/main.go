@@ -5,12 +5,11 @@
 // (one terminal response per request, bit-exact 200s, exact client
 // error codes, monotone registry generations, consistent counters).
 //
-// With -gateway-replicas N (N >= 2) the run instead drives the
-// replicated topology: N in-process daemons behind a cache-affine
-// gateway, with per-replica cache/generation invariants and rendezvous
-// affinity checks. -replica-kill additionally crashes one replica
-// mid-schedule and restarts it, asserting the gateway ejects, retries
-// around, and readmits it without losing a request.
+// With -gateway-replicas N (N >= 2) the run drives N in-process daemons
+// behind a cache-affine gateway instead; the same per-replica checks
+// apply, plus rendezvous affinity. -replica-kill additionally crashes
+// one replica mid-schedule and restarts it, asserting the gateway
+// ejects, retries around, and readmits it without losing a request.
 //
 // Usage:
 //
@@ -75,28 +74,22 @@ func main() {
 		}
 	}
 
-	if rep.Gateway != nil {
-		fmt.Printf("seed %d  schedule %#x  events %d  statuses %v  timeouts %d  reloads %d/%d ok  bit-compared %d\n",
-			rep.Seed, rep.ScheduleHash, rep.Events, rep.StatusCounts, rep.ClientTimeouts,
-			rep.Reloads.OK, rep.Reloads.Attempted, rep.BitCompared)
-		fmt.Printf("gateway %d replicas  kills %d  restarts %d  hedges %d (%d won)  retries %d  ejects %d  readmits %d  gw-faults %d  affinity %d keys spread<=%d\n",
-			rep.GatewayReplicas, rep.ReplicaKills, rep.ReplicaRestarts,
-			rep.Gateway.Hedges, rep.Gateway.HedgeWins, rep.Gateway.Retries,
-			rep.Gateway.Ejects, rep.Gateway.Readmits, rep.Gateway.FaultsInjected,
-			rep.AffinityKeys, rep.AffinityMaxSpread)
-		for _, sr := range rep.ServeReplicas {
-			fmt.Printf("  replica %s  requests %d  predictions %d  shed %d  faults %d  cache hits %d / lookups %d\n",
-				sr.Addr, sr.Requests, sr.Predictions, sr.Shed, sr.FaultsInjected, sr.Cache.Hits, sr.Cache.Lookups)
-		}
-	} else {
-		fmt.Printf("seed %d  schedule %#x  events %d  statuses %v  timeouts %d  shed %d  reloads %d/%d ok  faults %d  bit-compared %d\n",
-			rep.Seed, rep.ScheduleHash, rep.Events, rep.StatusCounts, rep.ClientTimeouts,
-			rep.Serve.Shed, rep.Reloads.OK, rep.Reloads.Attempted, rep.Serve.FaultsInjected, rep.BitCompared)
-		if rep.CacheEntries > 0 {
-			cs := rep.Serve.Cache
-			fmt.Printf("cache %d entries  lookups %d  hits %d  misses %d  coalesced %d  evictions %d  invalidations %d  epilogue %+v\n",
-				rep.CacheEntries, cs.Lookups, cs.Hits, cs.Misses, cs.Coalesced, cs.Evictions, cs.Invalidations, rep.Epilogue)
-		}
+	fmt.Printf("seed %d  schedule %#x  events %d  statuses %v  timeouts %d  reloads %d/%d ok  bit-compared %d\n",
+		rep.Seed, rep.ScheduleHash, rep.Events, rep.StatusCounts, rep.ClientTimeouts,
+		rep.Reloads.OK, rep.Reloads.Attempted, rep.BitCompared)
+	if gw := rep.Gateway; gw != nil {
+		fmt.Printf("gateway %d replicas  kills %d  restarts %d  hedges %d (%d won)  retries %d  shed %d  ejects %d  readmits %d  gw-faults %d  affinity %d keys spread<=%d\n",
+			rep.GatewayReplicas, rep.ReplicaKills, rep.ReplicaRestarts, gw.Hedges, gw.HedgeWins, gw.Retries,
+			gw.Shed, gw.Ejects, gw.Readmits, gw.FaultsInjected, rep.AffinityKeys, rep.AffinityMaxSpread)
+	}
+	for _, sr := range rep.ServeReplicas {
+		cs := sr.Cache
+		fmt.Printf("replica %s  generation %d  requests %d  predictions %d  shed %d  faults %d  cache lookups %d  hits %d  misses %d  coalesced %d  evictions %d  invalidations %d\n",
+			sr.Addr, sr.Generation, sr.Requests, sr.Predictions, sr.Shed, sr.FaultsInjected,
+			cs.Lookups, cs.Hits, cs.Misses, cs.Coalesced, cs.Evictions, cs.Invalidations)
+	}
+	if rep.Epilogue != nil {
+		fmt.Printf("epilogue %+v\n", *rep.Epilogue)
 	}
 	if !rep.OK() {
 		fmt.Printf("FAIL: %d invariant violations (reproduce with -seed %d):\n", len(rep.Violations), rep.Seed)

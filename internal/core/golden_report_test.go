@@ -127,13 +127,13 @@ func TestGoldenRunReport(t *testing.T) {
 		if err := os.MkdirAll(filepath.Dir(goldenReportFixture), 0o755); err != nil {
 			t.Fatal(err)
 		}
-		if err := norm.WriteFile(goldenReportFixture); err != nil {
+		if err := obs.WriteFile(goldenReportFixture, norm); err != nil {
 			t.Fatal(err)
 		}
 		t.Logf("rewrote %s", goldenReportFixture)
 	}
 
-	want, err := obs.ReadReportFile(goldenReportFixture)
+	want, err := obs.ReadFile[obs.RunReport](goldenReportFixture)
 	if err != nil {
 		t.Fatalf("read fixture (regenerate with -update): %v", err)
 	}

@@ -102,64 +102,6 @@ func TestPredictorLoadRejectsPayloadMismatch(t *testing.T) {
 	}
 }
 
-// TestPredictorLoadV1Compat pins the backward-compat decode path: a
-// version-1 artifact (payload in the lr/nn slot, no family tag) still
-// loads and predicts identically, and its slot/kind consistency rules
-// still hold.
-func TestPredictorLoadV1Compat(t *testing.T) {
-	train := synthSpace(t, 80, 25)
-	for _, tc := range []struct {
-		kind ModelKind
-		slot string
-	}{{LRE, "lr"}, {NNS, "nn"}} {
-		p, err := Train(context.Background(), tc.kind, train, quickCfg())
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := json.Marshal(p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var st map[string]json.RawMessage
-		if err := json.Unmarshal(data, &st); err != nil {
-			t.Fatal(err)
-		}
-		// Rewrite the v2 artifact as its v1 equivalent.
-		st["version"] = json.RawMessage("1")
-		st[tc.slot] = st["model"]
-		delete(st, "model")
-		delete(st, "family")
-		v1, err := json.Marshal(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		back, err := UnmarshalPredictor(v1)
-		if err != nil {
-			t.Fatalf("%v: v1 artifact rejected: %v", tc.kind, err)
-		}
-		want, err := p.Predict(train.Row(0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, err := back.Predict(train.Row(0))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got != want {
-			t.Fatalf("%v: v1-loaded predictor predicts %v, original %v", tc.kind, got, want)
-		}
-		// Both legacy slots at once is ambiguous and rejected.
-		st["lr"], st["nn"] = st[tc.slot], st[tc.slot]
-		dual, err := json.Marshal(st)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := UnmarshalPredictor(dual); err == nil {
-			t.Fatalf("%v: v1 artifact with both payloads accepted", tc.kind)
-		}
-	}
-}
-
 func TestLoadedPredictorImportancesWork(t *testing.T) {
 	train := synthSpace(t, 200, 24)
 	p, err := Train(context.Background(), NNQ, train, quickCfg())
@@ -184,7 +126,9 @@ func TestLoadedPredictorImportancesWork(t *testing.T) {
 }
 
 // TestPredictorDecodeErrorStrings pins the exact error message each
-// malformed artifact shape decodes to, across both wire versions. These
+// malformed artifact shape decodes to. Version-1 artifacts (payload in
+// an "lr"/"nn" slot, no family tag) are no longer decoded: every legacy
+// shape must fail. These
 // strings are part of the operational surface — registry reload
 // failures and predict-CLI errors quote them verbatim — so changing one
 // is a breaking change this table makes deliberate.
@@ -233,7 +177,7 @@ func TestPredictorDecodeErrorStrings(t *testing.T) {
 		{
 			"v1 with both legacy slots",
 			artifact(func(m map[string]json.RawMessage) { toV1(m, "lr", "nn") }),
-			"core: predictor carries both LR and NN payloads",
+			`core: decoding predictor: json: unknown field "lr"`,
 		},
 		{
 			"v1 neural kind with LR slot",
@@ -241,22 +185,22 @@ func TestPredictorDecodeErrorStrings(t *testing.T) {
 				toV1(m, "lr")
 				m["kind"] = json.RawMessage("9") // NNS
 			}),
-			"core: NN-S predictor with an LR payload",
+			`core: decoding predictor: json: unknown field "lr"`,
 		},
 		{
 			"v1 linreg kind with NN slot",
 			artifact(func(m map[string]json.RawMessage) { toV1(m, "nn") }),
-			"core: LR-E predictor with an NN payload",
+			`core: decoding predictor: json: unknown field "nn"`,
 		},
 		{
 			"v1 with neither slot",
 			artifact(func(m map[string]json.RawMessage) { toV1(m) }),
-			"core: predictor has no model payload",
+			"core: unsupported predictor version 1",
 		},
 		{
 			"v2 smuggling a legacy slot",
 			artifact(func(m map[string]json.RawMessage) { m["lr"] = m["model"] }),
-			"core: version 2 predictor carries legacy payload slots",
+			`core: decoding predictor: json: unknown field "lr"`,
 		},
 		{
 			"v2 without a payload",
@@ -267,6 +211,11 @@ func TestPredictorDecodeErrorStrings(t *testing.T) {
 			"v2 family/kind mismatch",
 			artifact(func(m map[string]json.RawMessage) { m["kind"] = json.RawMessage("9") }), // NNS
 			`core: predictor family "linreg/v1" does not match NN-S (family "neural/v1")`,
+		},
+		{
+			"v2 with trailing data",
+			append(artifact(func(map[string]json.RawMessage) {}), " {}"...),
+			"core: decoding predictor: trailing data after the artifact",
 		},
 		{
 			"unsupported version",

@@ -12,6 +12,7 @@ import (
 
 	"perfpred/internal/core"
 	"perfpred/internal/engine"
+	"perfpred/internal/gateway"
 	"perfpred/internal/serve"
 )
 
@@ -133,8 +134,9 @@ func (h *harness) runEpilogue() {
 	reloaded := false
 	for try := 0; try < epilogueAttempts && !reloaded; try++ {
 		epi.ReloadAttempts++
-		if _, err := h.srv.Reload(); err == nil {
+		if _, err := h.rig.reps[0].srv.Reload(); err == nil {
 			epi.ReloadsOK++
+			h.rig.noteReload([]gateway.ReloadResult{{Addr: h.rig.addrs[0]}})
 			reloaded = true
 			break
 		}
@@ -179,7 +181,7 @@ func (h *harness) epilogueRequest(epi *EpilogueStats, idx int) (float64, bool) {
 		return 0, false
 	}
 	for try := 0; try < epilogueAttempts; try++ {
-		resp, err := h.client.Post(h.base+"/v1/predict", "application/json", bytes.NewReader(body))
+		resp, err := h.client.Post(h.rig.baseURL+"/v1/predict", "application/json", bytes.NewReader(body))
 		if err != nil {
 			time.Sleep(epilogueBackoff)
 			continue

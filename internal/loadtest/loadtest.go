@@ -1,7 +1,8 @@
 // Package loadtest is the chaos/soak harness for the serving stack: it
 // replays a deterministic, seed-derived request schedule (mixed models,
 // malformed payloads, client deadlines, concurrent reloads) against an
-// in-process daemon — optionally with the faultinject layer armed so
+// in-process daemon, or several behind the gateway — optionally with
+// the faultinject layer armed so
 // batch flushes stall past request deadlines, admissions fail, and
 // reloads tear — and checks the serving invariants that must hold under
 // any interleaving:
@@ -16,7 +17,10 @@
 //   - the registry generation only moves forward and the model set is
 //     never partial, even while reloads race requests and each other;
 //   - the shed counter equals the number of 429s observed on the wire,
-//     and the final ServeReport is internally consistent.
+//     and the final ServeReports are internally consistent.
+//
+// A bare daemon is the one-replica case of the gateway topology: one
+// rig, one reload census and one invariant checker (check) serve both.
 //
 // Everything stochastic — request times, burst placement, payload
 // classes, fault firing — derives from Config.Seed, so any failure
@@ -30,7 +34,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"net"
 	"net/http"
 	"os"
 	"sync"
@@ -39,7 +42,6 @@ import (
 	"perfpred/internal/dataset"
 	"perfpred/internal/faultinject"
 	"perfpred/internal/gateway"
-	"perfpred/internal/obs"
 	"perfpred/internal/serve"
 )
 
@@ -66,26 +68,25 @@ type Config struct {
 	// with faults armed (so injected flush stalls expire queued
 	// requests), 2s otherwise.
 	RequestTimeout time.Duration
-	// CacheEntries arms the daemon's sharded prediction cache with the
+	// CacheEntries arms each daemon's sharded prediction cache with the
 	// given capacity (0 leaves it off — the production default). A
 	// cache-armed run additionally checks the cache accounting
 	// invariants (hits + misses == lookups, coalesced ≤ misses, a
-	// duplicate-heavy schedule must actually hit) and finishes with a
-	// generation-boundary epilogue: retrain one model, swap its
-	// artifact, reload, and re-probe the hot rows against goldens scored
-	// from the new artifact — a cache hit crossing the reload boundary
-	// cannot survive it. (Gateway-mode runs skip the epilogue — it
-	// drives Server.Reload directly, which has no equivalent through the
-	// front tier — but keep all cache accounting checks per replica.)
+	// duplicate-heavy schedule must actually hit). A cache-armed bare
+	// daemon finishes with a generation-boundary epilogue: retrain one
+	// model, swap its artifact, reload, and re-probe the hot rows
+	// against goldens scored from the new artifact — a cache hit
+	// crossing the reload boundary cannot survive it. (Gateway runs skip
+	// the epilogue: it drives Server.Reload directly, which has no
+	// equivalent through the front tier.)
 	CacheEntries int
-	// GatewayReplicas, when ≥ 2, runs the replicated topology instead of
-	// a single daemon: that many in-process replicas behind an
-	// internal/gateway front tier, with the schedule replayed against
-	// the gateway. Adds the gateway invariants: responses still bit-match
-	// offline scoring, hot single-row requests land on exactly one
-	// replica (cache affinity), per-replica generations track each
-	// replica's own successful reloads, and the shed/hedge/retry
-	// accounting reconciles with what clients observed on the wire.
+	// GatewayReplicas, when ≥ 2, runs that many in-process replicas
+	// behind an internal/gateway front tier and replays the schedule
+	// against the gateway; 0 runs one bare daemon, the one-replica case
+	// of the same rig and the same checks. The gateway adds its own
+	// invariants: hot single-row requests land on exactly one replica
+	// (cache affinity), and its shed/hedge/retry counters reconcile with
+	// what clients observed on the wire.
 	GatewayReplicas int
 	// ReplicaKill (gateway mode only) kills one seed-chosen replica's
 	// listener at ~35% of the horizon and restarts it at ~65%, verifying
@@ -156,14 +157,11 @@ var (
 // hedges. (Forced routing errors and probe-driven ejection are pinned
 // by the gateway unit tests; in chaos runs real ejection comes from the
 // kill/restart choreography, so the affinity invariant stays sharp.)
-func chaosPlans(requestTimeout time.Duration, replicas int) map[faultinject.Point]faultinject.Plan {
+func chaosPlans(requestTimeout time.Duration, gatewayReplicas int) map[faultinject.Point]faultinject.Plan {
 	// Artifact-read faults must start beyond the initial catalog loads
 	// (3 fixture models per daemon) so every daemon boots; with N
 	// replicas sharing one injector that floor scales to 3N.
-	artifactEvery := uint64(7)
-	if replicas > 0 {
-		artifactEvery = uint64(3*replicas) + 4
-	}
+	artifactEvery := uint64(3*max(gatewayReplicas, 1) + 4)
 	plans := map[faultinject.Point]faultinject.Plan{
 		faultinject.ServeBatchFlush:  {Every: 4, Latency: requestTimeout + requestTimeout/2},
 		faultinject.ServeAdmit:       {Prob: 0.04, Err: errInjectedAdmit},
@@ -171,7 +169,7 @@ func chaosPlans(requestTimeout time.Duration, replicas int) map[faultinject.Poin
 		faultinject.CoreArtifactLoad: {Every: artifactEvery, Err: errInjectedArtifact},
 		faultinject.ServeCacheLookup: {Every: 6, Latency: 3 * time.Millisecond},
 	}
-	if replicas > 0 {
+	if gatewayReplicas > 0 {
 		plans[faultinject.GatewayRoute] = faultinject.Plan{Every: 31, Latency: time.Millisecond}
 		plans[faultinject.GatewayHedge] = faultinject.Plan{Every: 3, Err: errInjectedHedge}
 	}
@@ -185,31 +183,25 @@ type outcome struct {
 	timedOut bool
 	err      string
 	preds    []float64 // parsed predictions for 200s
-	gen      int64     // reload events: resulting generation
-	replica  string    // gateway mode: X-Perfpred-Replica of the winner
-	route    string    // gateway mode: X-Perfpred-Route of the winner
+	replica  string    // behind a gateway: X-Perfpred-Replica of the winner
+	route    string    // behind a gateway: X-Perfpred-Route of the winner
 }
 
-// harness is one run's live state. Exactly one of srv (single-daemon
-// mode) and gw (gateway mode) is non-nil.
+// harness is one run's live state.
 type harness struct {
 	cfg    Config
 	fx     *fixture
 	schema *dataset.Schema
-	srv    *serve.Server
-	gw     *gatewayRig
-	base   string
+	rig    *rig
 	client *http.Client
 	sched  *Schedule
 	outs   []outcome
 
-	mu                sync.Mutex
-	gens              []int64
-	gwGens            map[string][]int64 // gateway mode: generations per replica
-	catalogViolations []string
+	mu      sync.Mutex
+	catalog [][]catalogSample // poller observations per replica
 
 	// epi and epiViolations record the cache generation-boundary
-	// epilogue (nil / empty when CacheEntries == 0).
+	// epilogue (nil / empty when it does not run).
 	epi           *EpilogueStats
 	epiViolations []string
 }
@@ -246,7 +238,7 @@ func Run(cfg Config) (*Report, error) {
 
 	sched := BuildSchedule(cfg.Seed, cfg.Requests, cfg.Duration, fx.models, len(fx.rows))
 
-	// Arm faults before constructing the daemon(s) and gateway: batcher,
+	// Arm faults before constructing the replicas and gateway: batcher,
 	// server and gateway snapshot the active injector (and its clock) at
 	// construction.
 	var inj *faultinject.Injector
@@ -257,111 +249,54 @@ func Run(cfg Config) (*Report, error) {
 		defer restore()
 	}
 
+	rg, err := startRig(cfg, dir)
+	if err != nil {
+		return nil, err
+	}
+	if cfg.ReplicaKill {
+		rg.scheduleKill(cfg.Seed, cfg.Duration)
+	}
 	h := &harness{
 		cfg:    cfg,
 		fx:     fx,
 		schema: schema,
+		rig:    rg,
 		client: &http.Client{Transport: &http.Transport{
 			MaxIdleConns:        cfg.Workers * 2,
 			MaxIdleConnsPerHost: cfg.Workers * 2,
 		}},
-		sched:  sched,
-		outs:   make([]outcome, len(sched.Events)),
-		gwGens: map[string][]int64{},
+		sched:   sched,
+		outs:    make([]outcome, len(sched.Events)),
+		catalog: make([][]catalogSample, len(rg.reps)),
 	}
 
-	if cfg.GatewayReplicas > 0 {
-		return h.runGatewayMode(dir, inj, start)
-	}
-
-	srv, err := serve.New(serve.Config{
-		ModelsDir:      dir,
-		RequestTimeout: cfg.RequestTimeout,
-		Batcher: serve.BatcherConfig{
-			QueueDepth: 8,
-			MaxBatch:   8,
-			MaxWait:    200 * time.Microsecond,
-			Workers:    2,
-		},
-		CacheEntries: cfg.CacheEntries,
-		Metrics:      obs.NewRegistry(),
-	})
-	if err != nil {
-		return nil, fmt.Errorf("loadtest: starting daemon: %w", err)
-	}
-
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, err
-	}
-	srv.SetAddr(ln.Addr().String())
-	hs := &http.Server{Handler: srv.Handler()}
-	serveErr := make(chan error, 1)
-	go func() { serveErr <- hs.Serve(ln) }()
-
-	h.srv = srv
-	h.base = "http://" + ln.Addr().String()
-
-	cfg.logf("replaying %d events over %v against %s", len(sched.Events), cfg.Duration, h.base)
+	cfg.logf("replaying %d events over %v against %s (%d replicas, gateway=%v, kill=%v)",
+		len(sched.Events), cfg.Duration, rg.baseURL, len(rg.reps), rg.gw != nil, cfg.ReplicaKill)
 	pollDone := make(chan struct{})
 	go h.pollCatalog(pollDone)
 	h.replay()
 	close(pollDone)
 
-	// Cache-armed runs end with the generation-boundary epilogue while
-	// the daemon (and the fault injector) is still live: probe warm hot
-	// rows, retrain-swap-reload one model, probe again against the new
-	// artifact's goldens.
-	if cfg.CacheEntries > 0 {
+	// Cache-armed bare-daemon runs end with the generation-boundary
+	// epilogue while the daemon (and the fault injector) is still live:
+	// probe warm hot rows, retrain-swap-reload one model, probe again
+	// against the new artifact's goldens. It drives Server.Reload
+	// directly, which has no equivalent through the gateway.
+	if cfg.CacheEntries > 0 && rg.gw == nil {
 		cfg.logf("running generation-boundary epilogue")
 		h.runEpilogue()
 	}
 
-	// Graceful shutdown: stop accepting, then drain the batcher — every
-	// admitted request must have been answered by the time Close returns.
-	sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if err := hs.Shutdown(sctx); err != nil {
-		return nil, fmt.Errorf("loadtest: daemon shutdown: %w", err)
+	// Drain the whole tier; reports are snapshotted after the drain so
+	// every counter has settled. Closing the client's idle connections
+	// first matters: a connection the transport dialed but never sent a
+	// request on is "new" to the server, and Shutdown waits up to 5 s for
+	// such a connection before treating it as idle.
+	h.client.CloseIdleConnections()
+	if err := rg.teardown(); err != nil {
+		return nil, fmt.Errorf("loadtest: teardown: %w", err)
 	}
-	if err := <-serveErr; err != nil && !errors.Is(err, http.ErrServerClosed) {
-		return nil, fmt.Errorf("loadtest: daemon serve: %w", err)
-	}
-	srv.Close()
-
-	rep := h.buildReport(srv.Report(), inj, time.Since(start))
-	cfg.logf("run complete: %d violations", len(rep.Violations))
-	return rep, nil
-}
-
-// runGatewayMode replays the schedule against the replicated topology:
-// GatewayReplicas in-process daemons behind an internal/gateway front
-// tier, optionally with the kill/restart choreography running.
-func (h *harness) runGatewayMode(dir string, inj *faultinject.Injector, start time.Time) (*Report, error) {
-	cfg := h.cfg
-	rig, err := startGatewayRig(cfg, dir, cfg.GatewayReplicas)
-	if err != nil {
-		return nil, err
-	}
-	h.gw = rig
-	h.base = rig.baseURL
-	if cfg.ReplicaKill {
-		rig.scheduleKill(cfg.Seed, cfg.Duration)
-	}
-
-	cfg.logf("replaying %d events over %v against gateway %s (%d replicas, kill=%v)",
-		len(h.sched.Events), cfg.Duration, h.base, cfg.GatewayReplicas, cfg.ReplicaKill)
-	pollDone := make(chan struct{})
-	go h.pollCatalog(pollDone)
-	h.replay()
-	close(pollDone)
-
-	// Drain the whole tier (gateway first, then replicas); reports are
-	// snapshotted after the drain so every counter has settled.
-	if err := rig.teardown(); err != nil {
-		return nil, fmt.Errorf("loadtest: gateway teardown: %w", err)
-	}
-	rep := h.buildReport(nil, inj, time.Since(start))
+	rep := h.report(inj, time.Since(start))
 	cfg.logf("run complete: %d violations", len(rep.Violations))
 	return rep, nil
 }
@@ -392,59 +327,49 @@ func (h *harness) replay() {
 	wg.Wait()
 }
 
-// runReload executes one reload event — via the admin endpoint or the
-// direct Server.Reload path the SIGHUP handler uses. In gateway mode
-// every reload goes through the gateway's fan-out endpoint (there is no
-// direct path to a replica's Server), and the per-replica outcomes feed
-// the generation bookkeeping.
+// runReload executes one reload event and folds every acknowledgement
+// into the rig's reload census. A bare daemon takes the event through
+// the admin endpoint or the direct Server.Reload path the SIGHUP
+// handler uses; behind a gateway every reload goes through the
+// gateway's fan-out endpoint (there is no direct path to a replica's
+// Server), which acknowledges per replica.
 func (h *harness) runReload(ev Event) outcome {
 	out := outcome{ev: ev}
-	if h.gw != nil {
-		resp, err := h.client.Post(h.base+"/admin/reload", "application/json", nil)
-		if err != nil {
-			out.err = err.Error()
+	bare := h.rig.gw == nil
+	ack := []gateway.ReloadResult{{Addr: h.rig.addrs[0]}}
+	if bare && !ev.AdminHTTP {
+		out.status = http.StatusOK
+		if _, err := h.rig.reps[0].srv.Reload(); err != nil {
+			out.status, out.err = http.StatusInternalServerError, err.Error()
 			return out
 		}
-		defer resp.Body.Close()
-		out.status = resp.StatusCode
-		var fan gateway.ReloadFanout
-		if err := json.NewDecoder(resp.Body).Decode(&fan); err != nil {
-			out.err = "decoding reload fan-out: " + err.Error()
-			out.status = 0
-			return out
-		}
-		h.gw.noteReload(&fan)
+		h.rig.noteReload(ack)
 		return out
 	}
-	if !ev.AdminHTTP {
-		gen, err := h.srv.Reload()
-		out.gen = gen
-		if err != nil {
-			out.status = http.StatusInternalServerError
-			out.err = err.Error()
-		} else {
-			out.status = http.StatusOK
-		}
-		return out
-	}
-	resp, err := h.client.Post(h.base+"/admin/reload", "application/json", nil)
+	resp, err := h.client.Post(h.rig.baseURL+"/admin/reload", "application/json", nil)
 	if err != nil {
 		out.err = err.Error()
 		return out
 	}
 	defer resp.Body.Close()
 	out.status = resp.StatusCode
-	if resp.StatusCode == http.StatusOK {
-		var rr serve.ReloadResponse
-		if err := json.NewDecoder(resp.Body).Decode(&rr); err != nil {
-			out.err = "decoding reload response: " + err.Error()
-			out.status = 0
-			return out
-		}
-		out.gen = rr.Generation
-	} else {
+	switch {
+	case !bare:
+		var fan gateway.ReloadFanout
+		err = json.NewDecoder(resp.Body).Decode(&fan)
+		ack = fan.Replicas
+	case resp.StatusCode == http.StatusOK:
+		err = json.NewDecoder(resp.Body).Decode(&serve.ReloadResponse{})
+	default:
 		io.Copy(io.Discard, resp.Body) //nolint:errcheck
+		return out
 	}
+	if err != nil {
+		out.err = "decoding reload response: " + err.Error()
+		out.status = 0
+		return out
+	}
+	h.rig.noteReload(ack)
 	return out
 }
 
@@ -462,7 +387,7 @@ func (h *harness) runPredict(ev Event) outcome {
 		ctx, cancel = context.WithTimeout(ctx, ev.Timeout)
 		defer cancel()
 	}
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, h.base+"/v1/predict", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(ctx, http.MethodPost, h.rig.baseURL+"/v1/predict", bytes.NewReader(body))
 	if err != nil {
 		out.err = err.Error()
 		return out
@@ -524,10 +449,17 @@ func (h *harness) requestBody(ev Event) *serve.PredictRequest {
 	return req
 }
 
-// pollCatalog samples /v1/models until done closes, recording the
-// generation sequence and checking the model set is never partial — a
-// torn catalog (some models missing mid-reload) is an invariant
-// violation no matter when it is observed.
+// catalogSample is one /v1/models observation: the generation a
+// replica reported and the model set it served.
+type catalogSample struct {
+	gen    int64
+	models []string
+}
+
+// pollCatalog samples /v1/models until done closes, recording each
+// observation under the replica that answered it. Replicas reload
+// independently, so the checker judges generation monotonicity per
+// replica, never across the interleaved stream.
 func (h *harness) pollCatalog(done <-chan struct{}) {
 	t := time.NewTicker(10 * time.Millisecond)
 	defer t.Stop()
@@ -537,52 +469,30 @@ func (h *harness) pollCatalog(done <-chan struct{}) {
 			return
 		case <-t.C:
 		}
-		resp, err := h.client.Get(h.base + "/v1/models")
+		resp, err := h.client.Get(h.rig.baseURL + "/v1/models")
 		if err != nil {
 			continue // transient during shutdown races; replay gating prevents real loss
 		}
 		if resp.StatusCode != http.StatusOK {
-			// Gateway mode: a 502 while a killed replica is being ejected
-			// is transport weather, not catalog state.
+			// A 502 while a killed replica is being ejected is transport
+			// weather, not catalog state.
 			io.Copy(io.Discard, resp.Body) //nolint:errcheck
 			resp.Body.Close()
 			continue
 		}
-		replica := resp.Header.Get(gateway.HeaderReplica)
+		i := h.rig.replicaIndex(resp.Header.Get(gateway.HeaderReplica))
 		var mr serve.ModelsResponse
 		err = json.NewDecoder(resp.Body).Decode(&mr)
 		resp.Body.Close()
-		if err != nil {
+		if err != nil || i < 0 {
 			continue
 		}
 		names := make([]string, len(mr.Models))
-		for i, m := range mr.Models {
-			names[i] = m.Name
+		for j, m := range mr.Models {
+			names[j] = m.Name
 		}
 		h.mu.Lock()
-		if h.gw != nil {
-			// Generations are per replica: replicas reload independently,
-			// so monotonicity only holds within one replica's sequence.
-			h.gwGens[replica] = append(h.gwGens[replica], mr.Generation)
-		} else {
-			h.gens = append(h.gens, mr.Generation)
-		}
-		if !equalStrings(names, h.fx.models) {
-			h.catalogViolations = append(h.catalogViolations,
-				fmt.Sprintf("catalog at generation %d served %v, want %v", mr.Generation, names, h.fx.models))
-		}
+		h.catalog[i] = append(h.catalog[i], catalogSample{gen: mr.Generation, models: names})
 		h.mu.Unlock()
 	}
-}
-
-func equalStrings(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

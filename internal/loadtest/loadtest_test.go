@@ -48,7 +48,7 @@ func TestChaosScenarioSeeded(t *testing.T) {
 	failReport(t, rep)
 
 	// The run must have exercised each chaos class, not just survived.
-	if rep.Serve.Shed == 0 {
+	if rep.ServeReplicas[0].Shed == 0 {
 		t.Error("chaos run shed nothing: bursts never overflowed the admission queue")
 	}
 	if rep.StatusCounts["504"] == 0 {
@@ -60,7 +60,7 @@ func TestChaosScenarioSeeded(t *testing.T) {
 	if rep.Reloads.OK == 0 {
 		t.Error("chaos run had no successful reloads")
 	}
-	if rep.Serve.FaultsInjected == 0 {
+	if rep.ServeReplicas[0].FaultsInjected == 0 {
 		t.Error("no faults fired on the serving path")
 	}
 	if rep.BitCompared == 0 {
@@ -69,7 +69,7 @@ func TestChaosScenarioSeeded(t *testing.T) {
 	if rep.BitMismatches != 0 {
 		t.Errorf("%d of %d predictions diverged from offline scoring", rep.BitMismatches, rep.BitCompared)
 	}
-	if rep.Serve.Cache.Hits == 0 {
+	if rep.ServeReplicas[0].Cache.Hits == 0 {
 		t.Error("cache-armed chaos run recorded no hits: the duplicate class never landed")
 	}
 	if fs := rep.FaultStats[faultinject.ServeCacheLookup.String()]; fs.Fires == 0 {
@@ -95,8 +95,8 @@ func TestCleanRunNoFaults(t *testing.T) {
 		t.Fatal(err)
 	}
 	failReport(t, rep)
-	if rep.Serve.FaultsInjected != 0 {
-		t.Errorf("faults disabled but %d fired", rep.Serve.FaultsInjected)
+	if rep.ServeReplicas[0].FaultsInjected != 0 {
+		t.Errorf("faults disabled but %d fired", rep.ServeReplicas[0].FaultsInjected)
 	}
 	if n := rep.StatusCounts["500"]; n != 0 {
 		t.Errorf("clean run produced %d server errors", n)
@@ -104,7 +104,7 @@ func TestCleanRunNoFaults(t *testing.T) {
 	if rep.BitCompared == 0 || rep.BitMismatches != 0 {
 		t.Errorf("bit comparison: %d compared, %d mismatched", rep.BitCompared, rep.BitMismatches)
 	}
-	if rep.Serve.Cache.Hits == 0 {
+	if rep.ServeReplicas[0].Cache.Hits == 0 {
 		t.Error("cache-armed clean run recorded no hits")
 	}
 }

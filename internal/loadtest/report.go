@@ -4,6 +4,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"slices"
+	"sort"
 	"strconv"
 	"time"
 
@@ -12,8 +14,9 @@ import (
 	"perfpred/internal/obs"
 )
 
-// ReportVersion is the chaos report schema version.
-const ReportVersion = 1
+// ReportVersion is the chaos report schema version. Version 2 replaced
+// the bare daemon's "serve" report with a one-entry "serve_replicas".
+const ReportVersion = 2
 
 // ReloadStats summarizes the run's reload events.
 type ReloadStats struct {
@@ -61,11 +64,11 @@ type Report struct {
 	// when faults are disabled).
 	FaultStats map[string]faultinject.PointStats `json:"fault_stats,omitempty"`
 
-	// Serve is the daemon's own final report (nil in gateway mode — see
-	// ServeReplicas).
-	Serve *obs.ServeReport `json:"serve,omitempty"`
+	// ServeReplicas are the per-replica final serve reports, in
+	// configuration order; a bare-daemon run has exactly one.
+	ServeReplicas []*obs.ServeReport `json:"serve_replicas"`
 
-	// Gateway-mode fields (GatewayReplicas > 0 in the run config).
+	// Gateway fields (GatewayReplicas ≥ 2 in the run config).
 	// GatewayReplicas is the replica count behind the front tier.
 	GatewayReplicas int `json:"gateway_replicas,omitempty"`
 	// ReplicaKills / ReplicaRestarts count the kill choreography's
@@ -74,9 +77,6 @@ type Report struct {
 	ReplicaRestarts int `json:"replica_restarts,omitempty"`
 	// Gateway is the front tier's final report.
 	Gateway *obs.GatewayReport `json:"gateway,omitempty"`
-	// ServeReplicas are the per-replica final serve reports, in
-	// configuration order.
-	ServeReplicas []*obs.ServeReport `json:"serve_replicas,omitempty"`
 	// AffinityKeys counts distinct (model, row) keys observed on
 	// primary-routed single-row 200s; AffinityMaxSpread is the largest
 	// number of distinct replicas any one key landed on (1 = perfect
@@ -85,7 +85,7 @@ type Report struct {
 	AffinityMaxSpread int `json:"affinity_max_spread,omitempty"`
 
 	// Epilogue records the generation-boundary epilogue of a cache-armed
-	// run (nil when CacheEntries == 0).
+	// bare-daemon run (nil otherwise).
 	Epilogue *EpilogueStats `json:"generation_epilogue,omitempty"`
 
 	// Violations lists every invariant breach, capped at maxViolations
@@ -122,154 +122,200 @@ func (v *violations) addf(format string, args ...any) {
 	v.list = append(v.list, fmt.Sprintf(format, args...))
 }
 
-// buildReport folds the run's outcomes into a Report and checks every
-// invariant.
-func (h *harness) buildReport(sr *obs.ServeReport, inj *faultinject.Injector, elapsed time.Duration) *Report {
+// report snapshots the drained rig into plain facts and checks them.
+func (h *harness) report(inj *faultinject.Injector, elapsed time.Duration) *Report {
+	rg := h.rig
 	rep := &Report{
-		Version:      ReportVersion,
-		Seed:         h.cfg.Seed,
-		Faults:       h.cfg.Faults,
-		CacheEntries: h.cfg.CacheEntries,
-		Epilogue:     h.epi,
-		ScheduleHash: h.sched.Hash(),
-		Events:       len(h.sched.Events),
-		DurationSecs: elapsed.Seconds(),
-		StatusCounts: map[string]int{},
-		Serve:        sr,
+		Version:         ReportVersion,
+		Seed:            h.cfg.Seed,
+		Faults:          h.cfg.Faults,
+		CacheEntries:    h.cfg.CacheEntries,
+		ScheduleHash:    h.sched.Hash(),
+		Events:          len(h.sched.Events),
+		DurationSecs:    elapsed.Seconds(),
+		GatewayReplicas: h.cfg.GatewayReplicas,
 	}
 	if inj != nil {
 		rep.FaultStats = inj.Stats()
 	}
-	var v violations
+	f := &runFacts{
+		cfg:           h.cfg,
+		models:        h.fx.models,
+		golden:        h.fx.golden,
+		outs:          h.outs,
+		epi:           h.epi,
+		epiViolations: h.epiViolations,
+	}
+	if rg.gw != nil {
+		f.gateway = rg.gw.Report()
+	}
+	h.mu.Lock()
+	rg.mu.Lock()
+	for i, sr := range rg.reps {
+		f.replicas = append(f.replicas, replicaFacts{
+			serve:     sr.srv.Report(),
+			catalog:   h.catalog[i],
+			reloadsOK: rg.reloadOK[i],
+		})
+	}
+	f.kills, f.restarts = rg.kills, rg.restarts
+	rg.mu.Unlock()
+	h.mu.Unlock()
+	check(rep, f)
+	return rep
+}
 
-	predictRows200 := 0
-	admitted := 0
-	for i := range h.outs {
-		out := &h.outs[i]
+// runFacts is everything a run collected, as plain data. check judges
+// it without touching the network, the servers or the clock, so every
+// invariant can be exercised on a synthetic fact set.
+type runFacts struct {
+	cfg    Config
+	models []string // the sorted model set every catalog must serve
+	golden map[string][]float64
+	outs   []outcome
+	// replicas holds one entry per daemon in configuration order; a
+	// bare-daemon run has exactly one.
+	replicas []replicaFacts
+	// gateway is the front tier's final report; nil for a bare daemon.
+	gateway         *obs.GatewayReport
+	kills, restarts int
+	epi             *EpilogueStats
+	epiViolations   []string
+}
+
+// replicaFacts is what one replica left behind.
+type replicaFacts struct {
+	serve   *obs.ServeReport
+	catalog []catalogSample
+	// reloadsOK counts every reload this replica acknowledged: direct
+	// Server.Reload, admin POST, gateway fan-out result or epilogue.
+	reloadsOK int
+}
+
+// check folds the facts into rep and records every invariant breach in
+// rep.Violations. The serve, shed, cache and fault invariants are
+// checked once over the replica list; a bare daemon is simply the
+// one-replica case with no gateway, where the gateway terms (its shed,
+// hedges and retries) are zero. Only the requests lower bound and the
+// kill/affinity checks depend on the topology.
+func check(rep *Report, f *runFacts) {
+	var v violations
+	cfg := f.cfg
+	gw := f.gateway
+	rep.StatusCounts = map[string]int{}
+	rep.Epilogue = f.epi
+
+	rows200, admitted := 0, 0
+	for i := range f.outs {
+		out := &f.outs[i]
 		if out.ev.Reload {
-			h.checkReload(rep, &v, out)
+			checkReload(rep, &v, cfg, out)
 			continue
 		}
 		rep.Requests++
-		h.checkPredict(rep, &v, out, &predictRows200, &admitted)
+		checkPredict(rep, &v, cfg, f.golden, out, &rows200, &admitted)
 	}
 
-	// Catalog invariants from the poller. In gateway mode each replica
-	// reloads independently, so monotonicity is judged per replica
-	// sequence (as split by the response's replica header), never across
-	// the interleaved stream.
-	h.mu.Lock()
-	gens, torn := h.gens, h.catalogViolations
-	gwGens := h.gwGens
-	h.mu.Unlock()
-	if h.gw != nil {
-		var first, last int64 = -1, -1
-		for addr, seq := range gwGens {
-			if len(seq) == 0 {
-				continue
-			}
-			if first < 0 {
-				first, last = seq[0], seq[len(seq)-1]
-			}
-			for i := 1; i < len(seq); i++ {
-				if seq[i] < seq[i-1] {
-					rep.GenerationRegressions++
-					v.addf("replica %s generation moved backwards: %d then %d", addr, seq[i-1], seq[i])
-				}
-			}
+	var shed, served, requests, faults, lookups, hits int64
+	for i, r := range f.replicas {
+		sr := r.serve
+		rep.ServeReplicas = append(rep.ServeReplicas, sr)
+		if err := sr.Validate(); err != nil {
+			v.addf("replica %d final serve report invalid: %v", i, err)
 		}
-		if first >= 0 {
-			rep.GenerationFirst, rep.GenerationLast = first, last
+		checkCatalog(rep, &v, i, r.catalog, f.models)
+		// A replica's generation is 1 (initial load) plus the reloads it
+		// acknowledged itself — a killed replica simply misses the
+		// reloads broadcast while it was down.
+		if want := 1 + int64(r.reloadsOK); sr.Generation != want {
+			v.addf("replica %d (%s) generation %d, want %d (1 + its %d acknowledged reloads)",
+				i, sr.Addr, sr.Generation, want, r.reloadsOK)
 		}
-	} else if len(gens) > 0 {
-		rep.GenerationFirst, rep.GenerationLast = gens[0], gens[len(gens)-1]
-		for i := 1; i < len(gens); i++ {
-			if gens[i] < gens[i-1] {
-				rep.GenerationRegressions++
+		// Post-drain, every cache lookup has resolved as exactly one hit
+		// or miss and coalesced waits are a sub-count of misses. With the
+		// cache off, its counters must never move at all.
+		cs := sr.Cache
+		if cfg.CacheEntries > 0 {
+			if cs.Hits+cs.Misses != cs.Lookups {
+				v.addf("replica %d cache hits(%d)+misses(%d) != lookups(%d)", i, cs.Hits, cs.Misses, cs.Lookups)
 			}
+			if cs.Coalesced > cs.Misses {
+				v.addf("replica %d cache coalesced %d exceeds misses %d", i, cs.Coalesced, cs.Misses)
+			}
+		} else if cs != (obs.CacheStats{}) {
+			v.addf("replica %d cache disabled but its counters moved: %+v", i, cs)
 		}
-		if rep.GenerationRegressions > 0 {
-			v.addf("registry generation moved backwards %d time(s)", rep.GenerationRegressions)
-		}
+		shed += sr.Shed
+		served += sr.Predictions + cs.Hits + cs.Coalesced
+		requests += sr.Requests
+		faults += sr.FaultsInjected
+		lookups += cs.Lookups
+		hits += cs.Hits
 	}
-	for _, t := range torn {
-		v.addf("%s", t)
-	}
-	for _, s := range h.epiViolations {
+	for _, s := range f.epiViolations {
 		v.addf("%s", s)
 	}
-
-	if h.gw != nil {
-		h.checkGatewayMode(rep, &v, predictRows200)
-		if v.dropped > 0 {
-			v.list = append(v.list, fmt.Sprintf("... and %d more violations", v.dropped))
-		}
-		rep.Violations = v.list
-		if rep.Violations == nil {
-			rep.Violations = []string{}
-		}
-		return rep
+	if !cfg.Faults && faults != 0 {
+		v.addf("faults disabled but %d replica faults fired", faults)
 	}
 
-	// ServeReport consistency.
-	if err := sr.Validate(); err != nil {
-		v.addf("final serve report invalid: %v", err)
+	// Shed reconciliation across the tier. Every wire-observed 429 was
+	// counted by a replica's batcher or the gateway's in-flight cap; the
+	// converse allows slack for abandoned clients (the 429 was sent but
+	// never read) and losing hedge/retry attempts (their 429 lost the
+	// first-response race). Epilogue probes observe their own 429s.
+	observed := int64(rep.StatusCounts["429"])
+	if f.epi != nil {
+		observed += int64(f.epi.Observed429s)
 	}
-	wantGen := 1 + int64(rep.Reloads.OK)
-	if h.epi != nil {
-		wantGen += int64(h.epi.ReloadsOK)
+	var gwShed, hedges, retries int64
+	if gw != nil {
+		gwShed, hedges, retries = gw.Shed, gw.Hedges, gw.Retries
 	}
-	if sr.Generation != wantGen {
-		v.addf("final generation %d, want %d (1 + successful reloads)", sr.Generation, wantGen)
+	shed += gwShed
+	if shed < observed {
+		v.addf("tier shed %d but %d requests saw 429 — shed without telling the client", shed, observed)
+	} else if slack := observed + int64(rep.ClientTimeouts) + hedges + retries; shed > slack {
+		v.addf("tier shed %d exceeds %d observed 429s + %d client timeouts + %d hedges + %d retries — requests dropped without a 429",
+			shed, observed, rep.ClientTimeouts, hedges, retries)
 	}
-	// Every shed is a 429 on the wire — but a client that abandoned its
-	// request at its own deadline never reads the 429 it was sent, so
-	// the counter may exceed observed 429s by at most those timeouts.
-	// Epilogue probes observe (and retry) their own 429s.
-	got := int64(rep.StatusCounts["429"])
-	if h.epi != nil {
-		got += int64(h.epi.Observed429s)
+	// Every row in a client-observed 200 was scored by a batcher,
+	// served from a cache, or rode a leader's scoring of the same row
+	// (coalesced); hedges and retries only add extra scoring.
+	if served < int64(rows200) {
+		v.addf("replicas served %d rows (predictions + cache hits + coalesced) but clients saw %d rows in 200s",
+			served, rows200)
 	}
-	if sr.Shed < got {
-		v.addf("shed counter %d but %d requests saw 429 — shed without telling the client", sr.Shed, got)
-	} else if sr.Shed > got+int64(rep.ClientTimeouts) {
-		v.addf("shed counter %d exceeds %d observed 429s + %d client timeouts — requests dropped without a 429",
-			sr.Shed, got, rep.ClientTimeouts)
+	// A bare daemon counts every request that reached its batcher; a
+	// gateway's extra statuses (its own 429s, 502s) never reached a
+	// replica, so behind it only client-observed 200s bound the count.
+	if gw == nil {
+		if requests < int64(admitted) {
+			v.addf("requests counter %d < %d requests that reached the batcher", requests, admitted)
+		}
+	} else if requests < int64(rep.StatusCounts["200"]) {
+		v.addf("replica requests %d < %d client-observed 200s", requests, rep.StatusCounts["200"])
 	}
-	// Every row returned in a 200 was either scored by the batcher
-	// (predictions), served from the cache (hits), or rode a leader's
-	// scoring of the same row (coalesced). With the cache off the last
-	// two terms are zero and this collapses to the original bound.
-	if served := sr.Predictions + sr.Cache.Hits + sr.Cache.Coalesced; served < int64(predictRows200) {
-		v.addf("predictions(%d)+cache hits(%d)+coalesced(%d) = %d < %d rows returned in 200s",
-			sr.Predictions, sr.Cache.Hits, sr.Cache.Coalesced, served, predictRows200)
-	}
-	if sr.Requests < int64(admitted) {
-		v.addf("requests counter %d < %d requests that reached the batcher", sr.Requests, admitted)
-	}
-	if !h.cfg.Faults && sr.FaultsInjected != 0 {
-		v.addf("faults disabled but %d faults fired", sr.FaultsInjected)
+	// A duplicate-heavy schedule against armed caches must actually hit.
+	if cfg.CacheEntries > 0 {
+		if lookups == 0 {
+			v.addf("caches armed (%d entries each) but no lookup ever reached them", cfg.CacheEntries)
+		} else if hits == 0 {
+			v.addf("duplicate-heavy schedule recorded zero cache hits across %d lookups", lookups)
+		}
 	}
 
-	// Cache accounting. Post-drain, every lookup has resolved as exactly
-	// one hit or miss and coalesced waits are a sub-count of misses; a
-	// duplicate-heavy schedule against an armed cache must actually hit.
-	// With the cache off, its counters must never move at all.
-	cs := sr.Cache
-	if h.cfg.CacheEntries > 0 {
-		if cs.Hits+cs.Misses != cs.Lookups {
-			v.addf("cache hits(%d)+misses(%d) != lookups(%d)", cs.Hits, cs.Misses, cs.Lookups)
+	if gw != nil {
+		rep.Gateway = gw
+		rep.ReplicaKills, rep.ReplicaRestarts = f.kills, f.restarts
+		if err := gw.Validate(); err != nil {
+			v.addf("final gateway report invalid: %v", err)
 		}
-		if cs.Coalesced > cs.Misses {
-			v.addf("cache coalesced %d exceeds misses %d", cs.Coalesced, cs.Misses)
+		if !cfg.Faults && gw.FaultsInjected != 0 {
+			v.addf("faults disabled but %d gateway faults fired", gw.FaultsInjected)
 		}
-		if cs.Lookups == 0 {
-			v.addf("cache armed (%d entries) but no lookup ever reached it", h.cfg.CacheEntries)
-		} else if cs.Hits == 0 {
-			v.addf("duplicate-heavy schedule recorded zero cache hits over %d lookups", cs.Lookups)
-		}
-	} else if cs != (obs.CacheStats{}) {
-		v.addf("cache disabled but its counters moved: %+v", cs)
+		checkKill(rep, &v, cfg, gw)
+		checkAffinity(rep, &v, cfg, f.outs)
 	}
 
 	if v.dropped > 0 {
@@ -279,20 +325,46 @@ func (h *harness) buildReport(sr *obs.ServeReport, inj *faultinject.Injector, el
 	if rep.Violations == nil {
 		rep.Violations = []string{}
 	}
-	return rep
+}
+
+// checkCatalog judges one replica's catalog observations: its
+// generation only moves forward, and it never serves a partial model
+// set — a torn catalog (some models missing mid-reload) is a violation
+// no matter when it is observed. GenerationFirst/Last bracket the
+// generations seen across all replicas.
+func checkCatalog(rep *Report, v *violations, i int, samples []catalogSample, models []string) {
+	for j, s := range samples {
+		if j > 0 && s.gen < samples[j-1].gen {
+			rep.GenerationRegressions++
+			v.addf("replica %d generation moved backwards: %d then %d", i, samples[j-1].gen, s.gen)
+		}
+		if !slices.Equal(s.models, models) {
+			v.addf("replica %d catalog at generation %d served %v, want %v", i, s.gen, s.models, models)
+		}
+	}
+	if len(samples) == 0 {
+		return
+	}
+	// Generations start at 1, so 0 means no replica was observed yet.
+	if first := samples[0].gen; rep.GenerationFirst == 0 || first < rep.GenerationFirst {
+		rep.GenerationFirst = first
+	}
+	if last := samples[len(samples)-1].gen; last > rep.GenerationLast {
+		rep.GenerationLast = last
+	}
 }
 
 // checkReload folds one reload outcome.
-func (h *harness) checkReload(rep *Report, v *violations, out *outcome) {
+func checkReload(rep *Report, v *violations, cfg Config, out *outcome) {
 	rep.Reloads.Attempted++
 	switch {
 	case out.status == 200:
 		rep.Reloads.OK++
 	case out.status == 500:
 		rep.Reloads.Failed++
-		// Gateway kill runs legitimately fail fan-outs while the killed
-		// replica is down; otherwise a failed reload needs armed faults.
-		if !h.cfg.Faults && !(h.gw != nil && h.cfg.ReplicaKill) {
+		// Kill runs legitimately fail fan-outs while the killed replica
+		// is down; otherwise a failed reload needs armed faults.
+		if !cfg.Faults && !cfg.ReplicaKill {
 			v.addf("reload %d failed without faults armed: %s", out.ev.Seq, out.err)
 		}
 	default:
@@ -302,7 +374,7 @@ func (h *harness) checkReload(rep *Report, v *violations, out *outcome) {
 
 // checkPredict folds one predict outcome, verifying its terminal class
 // against the payload contract and bit-comparing 200s to the goldens.
-func (h *harness) checkPredict(rep *Report, v *violations, out *outcome, rows200, admitted *int) {
+func checkPredict(rep *Report, v *violations, cfg Config, golden map[string][]float64, out *outcome, rows200, admitted *int) {
 	ev := out.ev
 	if out.status == 0 {
 		if out.timedOut && ev.Timeout > 0 {
@@ -330,7 +402,7 @@ func (h *harness) checkPredict(rep *Report, v *violations, out *outcome, rows200
 	case 429, 503, 504:
 		return
 	case 500:
-		if !h.cfg.Faults {
+		if !cfg.Faults {
 			v.addf("request %d: 500 without faults armed", ev.Seq)
 		}
 		return
@@ -340,7 +412,7 @@ func (h *harness) checkPredict(rep *Report, v *violations, out *outcome, rows200
 	}
 
 	// 200: every prediction must bit-match offline scoring.
-	golden := h.fx.golden[ev.Model]
+	gold := golden[ev.Model]
 	if len(out.preds) != len(ev.RowIdxs) {
 		v.addf("request %d: 200 carried %d predictions for %d rows", ev.Seq, len(out.preds), len(ev.RowIdxs))
 		return
@@ -348,10 +420,10 @@ func (h *harness) checkPredict(rep *Report, v *violations, out *outcome, rows200
 	*rows200 += len(out.preds)
 	for j, idx := range ev.RowIdxs {
 		rep.BitCompared++
-		if out.preds[j] != golden[idx] {
+		if out.preds[j] != gold[idx] {
 			rep.BitMismatches++
 			v.addf("request %d: model %s row %d predicted %v, offline golden %v",
-				ev.Seq, ev.Model, idx, out.preds[j], golden[idx])
+				ev.Seq, ev.Model, idx, out.preds[j], gold[idx])
 		}
 	}
 }
@@ -369,126 +441,38 @@ func expectedStatus(p PayloadKind) (status int, exact bool) {
 	return 0, false
 }
 
-// checkGatewayMode folds the replicated-topology invariants: a valid
-// gateway report, per-replica serve-report consistency (each replica's
-// generation tracks its own successful reloads), tier-wide shed
-// reconciliation against wire-observed 429s, cache accounting per
-// replica, the kill/restart choreography's health transitions, and
-// cache affinity — hot single-row requests landing on exactly one
-// replica (two across a kill).
-func (h *harness) checkGatewayMode(rep *Report, v *violations, predictRows200 int) {
-	rig := h.gw
-	gw := rig.gw.Report()
-	rep.GatewayReplicas = h.cfg.GatewayReplicas
-	rep.Gateway = gw
-	rig.mu.Lock()
-	rep.ReplicaKills, rep.ReplicaRestarts = rig.kills, rig.restarts
-	reloadOK := make(map[string]int, len(rig.reloadOK))
-	for addr, n := range rig.reloadOK {
-		reloadOK[addr] = n
+// checkKill judges the kill choreography: the crash and rebind must
+// both have happened, and the gateway must have seen them (eject on the
+// crash, readmit after the rebind). Without a kill the clean topology
+// must never eject anyone (chaos plans deliberately exclude probe
+// faults).
+func checkKill(rep *Report, v *violations, cfg Config, gw *obs.GatewayReport) {
+	if !cfg.ReplicaKill {
+		if gw.Ejects != 0 {
+			v.addf("no replica was killed but the gateway ejected %d time(s)", gw.Ejects)
+		}
+		return
 	}
-	rig.mu.Unlock()
+	if rep.ReplicaKills != 1 || rep.ReplicaRestarts != 1 {
+		v.addf("kill choreography incomplete: %d kills, %d restarts (want 1 and 1)",
+			rep.ReplicaKills, rep.ReplicaRestarts)
+	}
+	if gw.Ejects == 0 {
+		v.addf("replica was killed but the gateway never ejected it")
+	}
+	if gw.Readmits == 0 {
+		v.addf("replica was restarted but the gateway never readmitted it")
+	}
+}
 
-	if err := gw.Validate(); err != nil {
-		v.addf("final gateway report invalid: %v", err)
-	}
-	if !h.cfg.Faults && gw.FaultsInjected != 0 {
-		v.addf("faults disabled but %d gateway faults fired", gw.FaultsInjected)
-	}
-
-	var shedTotal, served, requests, faults int64
-	var lookups, hits, misses int64
-	for i, sr := range rig.reps {
-		r := sr.srv.Report()
-		rep.ServeReplicas = append(rep.ServeReplicas, r)
-		if err := r.Validate(); err != nil {
-			v.addf("replica %s final serve report invalid: %v", sr.addr, err)
-		}
-		// Each replica's generation is 1 (initial load) plus the reloads
-		// that replica itself acknowledged through the fan-out — a killed
-		// replica simply misses the reloads broadcast while it was down.
-		if want := 1 + int64(reloadOK[sr.addr]); r.Generation != want {
-			v.addf("replica %d (%s) generation %d, want %d (1 + its %d acknowledged reloads)",
-				i, sr.addr, r.Generation, want, reloadOK[sr.addr])
-		}
-		shedTotal += r.Shed
-		served += r.Predictions + r.Cache.Hits + r.Cache.Coalesced
-		requests += r.Requests
-		faults += r.FaultsInjected
-		lookups += r.Cache.Lookups
-		hits += r.Cache.Hits
-		misses += r.Cache.Misses
-		if h.cfg.CacheEntries > 0 {
-			if r.Cache.Hits+r.Cache.Misses != r.Cache.Lookups {
-				v.addf("replica %s cache hits(%d)+misses(%d) != lookups(%d)",
-					sr.addr, r.Cache.Hits, r.Cache.Misses, r.Cache.Lookups)
-			}
-			if r.Cache.Coalesced > r.Cache.Misses {
-				v.addf("replica %s cache coalesced %d exceeds misses %d", sr.addr, r.Cache.Coalesced, r.Cache.Misses)
-			}
-		} else if r.Cache != (obs.CacheStats{}) {
-			v.addf("replica %s cache disabled but its counters moved: %+v", sr.addr, r.Cache)
-		}
-	}
-	if !h.cfg.Faults && faults != 0 {
-		v.addf("faults disabled but %d replica faults fired", faults)
-	}
-
-	// Shed reconciliation across the tier. Every wire-observed 429 was
-	// counted by a replica's batcher or the gateway's in-flight cap; the
-	// converse allows slack for abandoned clients (the 429 was sent but
-	// never read) and losing hedge/retry attempts (their 429 lost the
-	// first-response race).
-	shedTotal += gw.Shed
-	observed := int64(rep.StatusCounts["429"])
-	if shedTotal < observed {
-		v.addf("tier shed %d but %d requests saw 429 — shed without telling the client", shedTotal, observed)
-	} else if slack := observed + int64(rep.ClientTimeouts) + gw.Hedges + gw.Retries; shedTotal > slack {
-		v.addf("tier shed %d exceeds %d observed 429s + %d client timeouts + %d hedges + %d retries",
-			shedTotal, observed, rep.ClientTimeouts, gw.Hedges, gw.Retries)
-	}
-	// Every row in a client-observed 200 was scored (or cache-served) by
-	// some replica; hedges/retries only add extra scoring, so ≥ holds.
-	if served < int64(predictRows200) {
-		v.addf("replicas served %d rows but clients saw %d rows in 200s", served, predictRows200)
-	}
-	if requests < int64(rep.StatusCounts["200"]) {
-		v.addf("replica requests %d < %d client-observed 200s", requests, rep.StatusCounts["200"])
-	}
-	if h.cfg.CacheEntries > 0 {
-		if lookups == 0 {
-			v.addf("caches armed (%d entries each) but no lookup ever reached them", h.cfg.CacheEntries)
-		} else if hits == 0 {
-			v.addf("duplicate-heavy schedule recorded zero cache hits across %d replica lookups", lookups)
-		}
-	}
-
-	// Kill choreography: the crash and rebind must both have happened,
-	// and the gateway must have seen them (eject on the crash, readmit
-	// after the rebind). Without a kill the clean topology must never
-	// eject anyone (chaos plans deliberately exclude probe faults).
-	if h.cfg.ReplicaKill {
-		if rep.ReplicaKills != 1 || rep.ReplicaRestarts != 1 {
-			v.addf("kill choreography incomplete: %d kills, %d restarts (want 1 and 1)",
-				rep.ReplicaKills, rep.ReplicaRestarts)
-		}
-		if gw.Ejects == 0 {
-			v.addf("replica was killed but the gateway never ejected it")
-		}
-		if gw.Readmits == 0 {
-			v.addf("replica was restarted but the gateway never readmitted it")
-		}
-	} else if gw.Ejects != 0 {
-		v.addf("no replica was killed but the gateway ejected %d time(s)", gw.Ejects)
-	}
-
-	// Cache affinity: all primary-routed single-row 200s of one
-	// (model, row) key must come from one replica — two across a
-	// kill/restart (the key's rendezvous fallback). Hedge and retry
-	// winners are excluded: they land elsewhere by design.
+// checkAffinity judges cache affinity: all primary-routed single-row
+// 200s of one (model, row) key must come from one replica — two across
+// a kill/restart (the key's rendezvous fallback). Hedge and retry
+// winners are excluded: they land elsewhere by design.
+func checkAffinity(rep *Report, v *violations, cfg Config, outs []outcome) {
 	spread := map[string]map[string]bool{}
-	for i := range h.outs {
-		out := &h.outs[i]
+	for i := range outs {
+		out := &outs[i]
 		ev := out.ev
 		if ev.Reload || out.status != 200 || !ev.Single || ev.Payload != PayloadOK {
 			continue
@@ -503,7 +487,7 @@ func (h *harness) checkGatewayMode(rep *Report, v *violations, predictRows200 in
 		spread[key][out.replica] = true
 	}
 	allowed := 1
-	if h.cfg.ReplicaKill {
+	if cfg.ReplicaKill {
 		allowed = 2
 	}
 	rep.AffinityKeys = len(spread)
@@ -516,6 +500,7 @@ func (h *harness) checkGatewayMode(rep *Report, v *violations, predictRows200 in
 			for r := range reps {
 				names = append(names, r)
 			}
+			sort.Strings(names)
 			v.addf("affinity broken: key %s landed on %d replicas %v (allowed %d)", key, len(reps), names, allowed)
 		}
 	}

@@ -14,14 +14,14 @@ import (
 	"perfpred/internal/serve"
 )
 
-// serveReplica is one in-process perfpredd replica inside a gateway
-// rig. The serve.Server (with its registry, batcher and prediction
-// cache) lives for the whole run; only the HTTP listener is killed and
-// rebound, which is exactly what a crashed-and-restarted process looks
-// like from the gateway's side of the wire while keeping the cache and
-// generation state a real warm restart would have to rebuild. (The
-// harness verifies bit-equivalence and generation bookkeeping, neither
-// of which a cold cache would change.)
+// serveReplica is one in-process perfpredd replica. The serve.Server
+// (with its registry, batcher and prediction cache) lives for the whole
+// run; only the HTTP listener is killed and rebound, which is exactly
+// what a crashed-and-restarted process looks like from the gateway's
+// side of the wire while keeping the cache and generation state a real
+// warm restart would have to rebuild. (The harness verifies
+// bit-equivalence and generation bookkeeping, neither of which a cold
+// cache would change.)
 type serveReplica struct {
 	srv  *serve.Server
 	addr string // fixed host:port, stable across kill/restart
@@ -88,19 +88,21 @@ func (sr *serveReplica) stop(ctx context.Context) error {
 	return err
 }
 
-// gatewayRig is the replicated topology of a gateway-mode run: N
-// in-process replicas behind one Gateway, plus the kill/restart
-// choreography and the per-replica reload bookkeeping the invariant
-// checks need.
-type gatewayRig struct {
+// rig is the serving topology of one run: the in-process replicas, and
+// — only when GatewayReplicas ≥ 2 — the gateway fronting them. A bare
+// daemon is the one-replica rig without a gateway. The rig also owns
+// the kill/restart choreography and the per-replica reload census the
+// invariant checks need.
+type rig struct {
 	reps    []*serveReplica
-	gw      *gateway.Gateway
+	addrs   []string         // replica addresses, fixed once bound
+	gw      *gateway.Gateway // nil for a bare daemon
 	gwHS    *http.Server
 	gwErr   chan error
-	baseURL string
+	baseURL string // where clients send the schedule
 
 	mu       sync.Mutex
-	reloadOK map[string]int // successful reloads per replica addr
+	reloadOK []int // acknowledged reloads per replica, in configuration order
 	kills    int
 	restarts int
 
@@ -108,16 +110,18 @@ type gatewayRig struct {
 	killWG   sync.WaitGroup
 }
 
-// startGatewayRig boots n replicas over the shared models dir and one
-// gateway fronting them. Faults must already be armed: the servers and
-// the gateway snapshot the active injector at construction.
-func startGatewayRig(cfg Config, dir string, n int) (*gatewayRig, error) {
-	rig := &gatewayRig{
-		reloadOK: map[string]int{},
-		stopKill: make(chan struct{}),
+// startRig boots max(1, GatewayReplicas) replicas over the shared
+// models dir and, with two or more, one gateway fronting them. Faults
+// must already be armed: the servers and the gateway snapshot the
+// active injector at construction.
+func startRig(cfg Config, dir string) (*rig, error) {
+	n := cfg.GatewayReplicas
+	if n < 1 {
+		n = 1
 	}
-	fail := func(err error) (*gatewayRig, error) {
-		rig.teardown() //nolint:errcheck // already failing
+	rg := &rig{reloadOK: make([]int, n), stopKill: make(chan struct{})}
+	fail := func(err error) (*rig, error) {
+		rg.teardown() //nolint:errcheck // already failing
 		return nil, err
 	}
 	for i := 0; i < n; i++ {
@@ -137,17 +141,18 @@ func startGatewayRig(cfg Config, dir string, n int) (*gatewayRig, error) {
 			return fail(fmt.Errorf("loadtest: starting replica %d: %w", i, err))
 		}
 		sr := &serveReplica{srv: srv}
-		rig.reps = append(rig.reps, sr)
+		rg.reps = append(rg.reps, sr)
 		if err := sr.bind(); err != nil {
 			return fail(err)
 		}
+		rg.addrs = append(rg.addrs, sr.addr)
 	}
-	addrs := make([]string, len(rig.reps))
-	for i, sr := range rig.reps {
-		addrs[i] = sr.addr
+	if n == 1 {
+		rg.baseURL = "http://" + rg.addrs[0]
+		return rg, nil
 	}
 	gw, err := gateway.New(gateway.Config{
-		Replicas: addrs,
+		Replicas: rg.addrs,
 		// Probe fast enough that a killed replica ejects (and a
 		// restarted one readmits) well inside the schedule horizon, but
 		// slow enough that a few requests land on the corpse first and
@@ -165,59 +170,76 @@ func startGatewayRig(cfg Config, dir string, n int) (*gatewayRig, error) {
 	if err != nil {
 		return fail(err)
 	}
-	rig.gw = gw
+	rg.gw = gw
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return fail(err)
 	}
 	gw.SetAddr(ln.Addr().String())
-	rig.baseURL = "http://" + ln.Addr().String()
-	rig.gwHS = &http.Server{Handler: gw.Handler()}
-	rig.gwErr = make(chan error, 1)
-	go func() { rig.gwErr <- rig.gwHS.Serve(ln) }()
-	return rig, nil
+	rg.baseURL = "http://" + ln.Addr().String()
+	rg.gwHS = &http.Server{Handler: gw.Handler()}
+	rg.gwErr = make(chan error, 1)
+	go func() { rg.gwErr <- rg.gwHS.Serve(ln) }()
+	return rg, nil
 }
 
 // scheduleKill arranges one replica crash at ~35% of the horizon and
 // its restart at ~65%, picking the victim deterministically from the
 // seed. The stopKill channel aborts the choreography at teardown.
-func (rig *gatewayRig) scheduleKill(seed int64, horizon time.Duration) {
-	victim := rig.reps[int(uint64(seed)%uint64(len(rig.reps)))]
+func (rg *rig) scheduleKill(seed int64, horizon time.Duration) {
+	victim := rg.reps[int(uint64(seed)%uint64(len(rg.reps)))]
 	killAt := horizon * 35 / 100
 	restartAt := horizon * 65 / 100
-	rig.killWG.Add(1)
+	rg.killWG.Add(1)
 	go func() {
-		defer rig.killWG.Done()
+		defer rg.killWG.Done()
 		select {
-		case <-rig.stopKill:
+		case <-rg.stopKill:
 			return
 		case <-time.After(killAt):
 		}
 		victim.kill()
-		rig.mu.Lock()
-		rig.kills++
-		rig.mu.Unlock()
+		rg.mu.Lock()
+		rg.kills++
+		rg.mu.Unlock()
 		select {
-		case <-rig.stopKill:
+		case <-rg.stopKill:
 			return
 		case <-time.After(restartAt - killAt):
 		}
 		if err := victim.bind(); err == nil {
-			rig.mu.Lock()
-			rig.restarts++
-			rig.mu.Unlock()
+			rg.mu.Lock()
+			rg.restarts++
+			rg.mu.Unlock()
 		}
 	}()
 }
 
-// noteReload folds one reload fan-out result into the per-replica
-// success census.
-func (rig *gatewayRig) noteReload(fan *gateway.ReloadFanout) {
-	rig.mu.Lock()
-	defer rig.mu.Unlock()
-	for _, r := range fan.Replicas {
-		if r.Error == "" {
-			rig.reloadOK[r.Addr]++
+// replicaIndex maps a replica address (as a gateway header or fan-out
+// result names it) to its configuration index. A bare daemon sets no
+// replica header, so "" is its one replica.
+func (rg *rig) replicaIndex(addr string) int {
+	for i, a := range rg.addrs {
+		if a == addr {
+			return i
+		}
+	}
+	if addr == "" && rg.gw == nil {
+		return 0
+	}
+	return -1
+}
+
+// noteReload folds reload acknowledgements — a direct Server.Reload, an
+// admin POST to a bare daemon, or a gateway fan-out's per-replica
+// results — into the census. Failed results carry an Error and count
+// for nothing.
+func (rg *rig) noteReload(acks []gateway.ReloadResult) {
+	rg.mu.Lock()
+	defer rg.mu.Unlock()
+	for _, a := range acks {
+		if i := rg.replicaIndex(a.Addr); a.Error == "" && i >= 0 {
+			rg.reloadOK[i]++
 		}
 	}
 }
@@ -225,25 +247,26 @@ func (rig *gatewayRig) noteReload(fan *gateway.ReloadFanout) {
 // teardown drains the rig in dependency order — gateway HTTP surface,
 // gateway probes/in-flight, then each replica's HTTP surface, batcher
 // and server — mirroring the SIGTERM contract of the real two-tier
-// topology. Safe on a partially constructed rig.
-func (rig *gatewayRig) teardown() error {
-	close(rig.stopKill)
-	rig.killWG.Wait()
+// topology. Every admitted request has been answered when it returns.
+// Safe on a partially constructed rig.
+func (rg *rig) teardown() error {
+	close(rg.stopKill)
+	rg.killWG.Wait()
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 	defer cancel()
 	var first error
-	if rig.gwHS != nil {
-		if err := rig.gwHS.Shutdown(ctx); err != nil && first == nil {
+	if rg.gwHS != nil {
+		if err := rg.gwHS.Shutdown(ctx); err != nil && first == nil {
 			first = err
 		}
-		if err := <-rig.gwErr; err != nil && !errors.Is(err, http.ErrServerClosed) && first == nil {
+		if err := <-rg.gwErr; err != nil && !errors.Is(err, http.ErrServerClosed) && first == nil {
 			first = err
 		}
 	}
-	if rig.gw != nil {
-		rig.gw.Close()
+	if rg.gw != nil {
+		rg.gw.Close()
 	}
-	for _, sr := range rig.reps {
+	for _, sr := range rg.reps {
 		if err := sr.stop(ctx); err != nil && first == nil {
 			first = err
 		}

@@ -15,7 +15,7 @@ import (
 // testdata/fuzz/FuzzReportRoundTrip (the checked-in corpus).
 func FuzzReportRoundTrip(f *testing.F) {
 	var buf bytes.Buffer
-	if err := sampleReport().WriteJSON(&buf); err != nil {
+	if err := WriteJSON(&buf, sampleReport()); err != nil {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
@@ -27,15 +27,15 @@ func FuzzReportRoundTrip(f *testing.F) {
 	f.Add([]byte(``))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
-		rep, err := ReadReport(bytes.NewReader(data))
+		rep, err := ReadJSON[RunReport](bytes.NewReader(data))
 		if err != nil {
 			return // rejected input: only requirement is no panic
 		}
 		var out bytes.Buffer
-		if err := rep.WriteJSON(&out); err != nil {
+		if err := WriteJSON(&out, rep); err != nil {
 			t.Fatalf("accepted report failed to re-encode: %v\ninput: %q", err, data)
 		}
-		again, err := ReadReport(bytes.NewReader(out.Bytes()))
+		again, err := ReadJSON[RunReport](bytes.NewReader(out.Bytes()))
 		if err != nil {
 			t.Fatalf("re-encoded report rejected: %v\nencoded: %s", err, out.String())
 		}

@@ -40,12 +40,12 @@ func TestGatewayReportRoundTrip(t *testing.T) {
 		t.Fatalf("counters not read from registry: %+v", r)
 	}
 	path := filepath.Join(t.TempDir(), "gw.json")
-	if err := r.WriteFile(path); err != nil {
+	if err := WriteFile(path, r); err != nil {
 		t.Fatalf("WriteFile: %v", err)
 	}
-	back, err := ReadGatewayReportFile(path)
+	back, err := ReadFile[GatewayReport](path)
 	if err != nil {
-		t.Fatalf("ReadGatewayReportFile: %v", err)
+		t.Fatalf("ReadFile: %v", err)
 	}
 	if back.Requests != r.Requests || back.Ejects != r.Ejects ||
 		len(back.Replicas) != len(r.Replicas) || back.Replicas[1].ProbeFailures != 3 {
@@ -86,10 +86,10 @@ func TestGatewayReportValidateRejects(t *testing.T) {
 // TestGatewayReportReadRejectsCorrupt checks the reader refuses both
 // non-JSON and structurally invalid payloads.
 func TestGatewayReportReadRejectsCorrupt(t *testing.T) {
-	if _, err := ReadGatewayReport(bytes.NewReader([]byte("not json"))); err == nil {
+	if _, err := ReadJSON[GatewayReport](bytes.NewReader([]byte("not json"))); err == nil {
 		t.Error("reader accepted non-JSON")
 	}
-	if _, err := ReadGatewayReport(bytes.NewReader([]byte(`{"version":1,"replicas":[]}`))); err == nil {
+	if _, err := ReadJSON[GatewayReport](bytes.NewReader([]byte(`{"version":1,"replicas":[]}`))); err == nil {
 		t.Error("reader accepted a report with no replicas")
 	}
 }

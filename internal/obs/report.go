@@ -1,12 +1,9 @@
 package obs
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"math"
-	"os"
 )
 
 // ReportVersion is the current RunReport schema version. Readers reject
@@ -214,50 +211,4 @@ func (r *RunReport) FindModel(kind string) *ModelResult {
 		}
 	}
 	return nil
-}
-
-// WriteJSON writes the report as indented JSON.
-func (r *RunReport) WriteJSON(w io.Writer) error {
-	if err := r.Validate(); err != nil {
-		return err
-	}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(r)
-}
-
-// WriteFile writes the report to path as indented JSON.
-func (r *RunReport) WriteFile(path string) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return fmt.Errorf("obs: writing report: %w", err)
-	}
-	if err := r.WriteJSON(f); err != nil {
-		f.Close()
-		return err
-	}
-	return f.Close()
-}
-
-// ReadReport parses and validates a report.
-func ReadReport(r io.Reader) (*RunReport, error) {
-	var rep RunReport
-	dec := json.NewDecoder(r)
-	if err := dec.Decode(&rep); err != nil {
-		return nil, fmt.Errorf("obs: decoding report: %w", err)
-	}
-	if err := rep.Validate(); err != nil {
-		return nil, err
-	}
-	return &rep, nil
-}
-
-// ReadReportFile reads a report from a JSON file.
-func ReadReportFile(path string) (*RunReport, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, fmt.Errorf("obs: reading report: %w", err)
-	}
-	defer f.Close()
-	return ReadReport(f)
 }

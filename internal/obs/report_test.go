@@ -33,10 +33,10 @@ func sampleReport() *RunReport {
 func TestReportRoundTripFile(t *testing.T) {
 	rep := sampleReport()
 	path := filepath.Join(t.TempDir(), "report.json")
-	if err := rep.WriteFile(path); err != nil {
+	if err := WriteFile(path, rep); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadReportFile(path)
+	got, err := ReadFile[RunReport](path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,8 +82,8 @@ func TestReportValidate(t *testing.T) {
 
 func TestReadReportRejectsGarbage(t *testing.T) {
 	for _, s := range []string{"", "not json", `{"version":2,"command":"dse"}`, `{"version":1}`} {
-		if _, err := ReadReport(strings.NewReader(s)); err == nil {
-			t.Errorf("ReadReport(%q) accepted", s)
+		if _, err := ReadJSON[RunReport](strings.NewReader(s)); err == nil {
+			t.Errorf("ReadJSON[RunReport](%q) accepted", s)
 		}
 	}
 }
@@ -100,7 +100,7 @@ func TestFindModel(t *testing.T) {
 
 func TestWriteJSONIsIndented(t *testing.T) {
 	var buf bytes.Buffer
-	if err := sampleReport().WriteJSON(&buf); err != nil {
+	if err := WriteJSON(&buf, sampleReport()); err != nil {
 		t.Fatal(err)
 	}
 	if !strings.Contains(buf.String(), "\n  \"command\": \"dse\"") {
@@ -133,10 +133,10 @@ func TestActiveReportRoundTrip(t *testing.T) {
 	rep := sampleReport()
 	rep.Active = sampleActive()
 	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
+	if err := WriteJSON(&buf, rep); err != nil {
 		t.Fatal(err)
 	}
-	got, err := ReadReport(&buf)
+	got, err := ReadJSON[RunReport](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +145,7 @@ func TestActiveReportRoundTrip(t *testing.T) {
 	}
 	// The section is omitempty: a sampled run's JSON must not mention it.
 	buf.Reset()
-	if err := sampleReport().WriteJSON(&buf); err != nil {
+	if err := WriteJSON(&buf, sampleReport()); err != nil {
 		t.Fatal(err)
 	}
 	if strings.Contains(buf.String(), `"active"`) {

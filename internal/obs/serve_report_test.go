@@ -51,10 +51,10 @@ func TestBuildServeReport(t *testing.T) {
 
 	// Round trip through JSON.
 	var buf bytes.Buffer
-	if err := rep.WriteJSON(&buf); err != nil {
+	if err := WriteJSON(&buf, rep); err != nil {
 		t.Fatal(err)
 	}
-	back, err := ReadServeReport(&buf)
+	back, err := ReadJSON[ServeReport](&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -77,7 +77,7 @@ func TestServeReportValidateRejects(t *testing.T) {
 	if err := rep.Validate(); err == nil {
 		t.Fatal("negative counter accepted")
 	}
-	if _, err := ReadServeReport(strings.NewReader("{nope")); err == nil {
+	if _, err := ReadJSON[ServeReport](strings.NewReader("{nope")); err == nil {
 		t.Fatal("malformed JSON accepted")
 	}
 }

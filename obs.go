@@ -57,10 +57,10 @@ func BuildChronoReport(res *ChronoResult, trainSize, futureSize int, meta Report
 }
 
 // ReadRunReport parses and validates a RunReport.
-func ReadRunReport(r io.Reader) (*RunReport, error) { return obs.ReadReport(r) }
+func ReadRunReport(r io.Reader) (*RunReport, error) { return obs.ReadJSON[obs.RunReport](r) }
 
 // ReadRunReportFile reads a RunReport from a JSON file.
-func ReadRunReportFile(path string) (*RunReport, error) { return obs.ReadReportFile(path) }
+func ReadRunReportFile(path string) (*RunReport, error) { return obs.ReadFile[obs.RunReport](path) }
 
 // MetricsRegistry is a named collection of counters, gauges and timing
 // histograms.
